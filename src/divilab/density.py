@@ -11,11 +11,10 @@ from fractions import Fraction
 
 from .errors import DomainError
 
-# Method tags in use.  "exact_ie" always has lower == upper; the truncated
-# variant carries the rigorous tail bracket from lcm pruning.
+# Method tags in use.  "exact_ie" is the exact density of a finite set of
+# multiples from the valuation DP (multiples.py), so lower == upper always.
 METHODS = (
     "exact_ie",
-    "exact_ie_truncated",
     "exact_period",
     "bonferroni",
     "sieve_count",

@@ -15,10 +15,10 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from .density import DensityEstimate
+from .density import DensityEstimate, exact_density
 from .errors import DomainError, ResourceError
 from .locallaws import gaussian_cdf
-from .multiples import _subset_sums, alpha0
+from .multiples import MAX_EXACT_GENERATORS, GeneratorSet, alpha0, divisor_hit_densities
 from .sieve import SpfSieve, primes_upto
 from .tables import (
     e_set_mask,
@@ -169,35 +169,14 @@ def eps_pair(y: int, z: int, x: int) -> tuple[DensityEstimate, DensityEstimate, 
     """Densities of {some divisor in (y, z]} and {exactly one divisor in
     (y, z]}, plus their ratio rho_1.
 
-    Exact inclusion-exclusion when the interval holds at most 24 integers
-    (P(exactly one) = sum_k (-1)^{k-1} k S_k over subset-lcm sums); sieve
-    counts at x otherwise.
+    Exact densities from the valuation DP when the interval holds at most
+    MAX_EXACT_GENERATORS integers; sieve counts at x otherwise.
     """
     if not (1 <= y < z <= x):
         raise DomainError(f"need 1 <= y < z <= x, got y={y} z={z} x={x}")
-    elements = list(range(y + 1, z + 1))
-    if len(elements) <= 24:
-        bound = 10**40
-        sums, total, pruned = _subset_sums(elements, bound)
-        eps_exact = total
-        eps1_exact = Fraction(0)
-        for k in range(1, len(elements) + 1):
-            term = k * sums[k]
-            eps1_exact += term if k % 2 == 1 else -term
-        if eps_exact == 0:
-            raise DomainError("eps = 0: rho_1 undefined")
-        if pruned:
-            # huge-lcm subsets were skipped; their weight is bounded and folded in
-            tail = Fraction(len(elements) * pruned, bound)
-            mk = lambda v: DensityEstimate(
-                float(v), max(0.0, float(v - tail)), min(1.0, float(v + tail)),
-                "exact_ie_truncated", params={"pruned_subsets": pruned})
-            return mk(eps_exact), mk(eps1_exact), float(eps1_exact / eps_exact)
-        e = DensityEstimate(float(eps_exact), float(eps_exact), float(eps_exact),
-                            "exact_ie", exact=eps_exact)
-        e1 = DensityEstimate(float(eps1_exact), float(eps1_exact), float(eps1_exact),
-                             "exact_ie", exact=eps1_exact)
-        return e, e1, float(eps1_exact / eps_exact)
+    if z - y <= MAX_EXACT_GENERATORS:
+        eps, eps1 = divisor_hit_densities(GeneratorSet(interval=(y, z)))
+        return exact_density(eps), exact_density(eps1), float(eps1 / eps)
     counts = interval_divisor_counts(x, y, z)
     n_any = int(np.count_nonzero(counts[1:]))
     n_one = int(np.count_nonzero(counts[1:] == 1))
@@ -299,19 +278,23 @@ def pplus_adjacency(x: int) -> PPlusStats:
     log(P^+(n+1)/P^+(n)) / log n."""
     if x < 2:
         raise DomainError(f"need x >= 2, got {x}")
-    gpf = gpf_table(x + 2).astype(np.float64)
-    up = gpf[2:x + 2] > gpf[1:x + 1]
-    frac_up = float(np.count_nonzero(up)) / x
+    gpf = gpf_table(x + 2)
+    frac_up = float(np.count_nonzero(gpf[2:x + 2] > gpf[1:x + 1])) / x
     a = gpf[1:x + 1]
     b = gpf[2:x + 2]
     c = gpf[3:x + 3]
     triple = (a > b) & (b > c)
     n_triple = int(np.count_nonzero(triple))
     first = int(np.flatnonzero(triple)[0]) + 1 if n_triple else None
-    n = np.arange(2, x + 1, dtype=np.float64)
-    alpha = np.log(gpf[3:x + 2] / gpf[2:x + 1]) / np.log(n)
     bins = np.linspace(-1.0, 1.0, 41)
-    counts, _ = np.histogram(np.clip(alpha, -1.0, 1.0), bins=bins)
+    counts = np.zeros(len(bins) - 1, dtype=np.int64)
+    block = 1 << 20
+    for lo in range(2, x + 1, block):  # blocks bound the float64 temporaries
+        hi = min(lo + block, x + 1)
+        n = np.arange(lo, hi, dtype=np.float64)
+        ratio = gpf[lo + 1:hi + 1].astype(np.float64) / gpf[lo:hi].astype(np.float64)
+        alpha = np.log(ratio) / np.log(n)
+        counts += np.histogram(np.clip(alpha, -1.0, 1.0), bins=bins)[0]
     return PPlusStats(x, frac_up, n_triple / x, first,
                       tuple(map(float, bins)), tuple(int(v) for v in counts))
 
@@ -363,7 +346,8 @@ def omega_median_count(x: int) -> OmegaMedianResult:
     count = int(np.count_nonzero(om[1:] <= llx))
     gap = (count - x / 2) * math.sqrt(2 * math.pi * llx) / x + (llx - math.floor(llx))
     A = mertens_A().point
-    s = sum(1.0 / (int(p) * (int(p) - 1)) for p in primes_upto(10**6))
+    pr = primes_upto(10**6).astype(np.float64)
+    s = float(np.sum(1.0 / (pr * (pr - 1.0))))
     return OmegaMedianResult(x, count, gap, 0.36798, A - 2.0 / 3.0 - s)
 
 

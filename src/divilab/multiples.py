@@ -1,9 +1,13 @@
 """Sets of multiples: membership, density brackets, Behrend machinery, blocks.
 
-Densities of finite generator sets are computed by inclusion-exclusion over
-subset lcms.  Subsets whose running lcm exceeds a bound contribute less than
-1/bound each; that tail is folded into a rigorous bracket, which keeps the
-"exact" path honest for interval generators like (T, 2T].
+The natural density of M(A) for a finite A is computed exactly by a DP over
+p-adic valuations.  Whether n lies in M(A) depends only on v_p(n) at the
+primes p dividing A, and under natural density these valuations are
+independent with P(v_p = j) = (1 - 1/p) p^{-j} (the product measure behind
+Behrend's inequality; Hall-Tenenbaum, *Divisors*, ch. 0).  The DP takes the
+primes in descending order; its state is the primitive set of quotients
+still to be matched.  It is exact for every set it finishes; a set whose DP
+would exceed MAX_DP_STATES states raises ResourceError instead.
 """
 
 from __future__ import annotations
@@ -16,14 +20,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .arith import INFINITE, Factored, divisors
+from .arith import INFINITE, Factored, divisors, factor_int
 from .density import DensityEstimate, exact_density
 from .errors import ConstraintError, DomainError, ResourceError
 from .sieve import primes_upto
 from .tables import DEFAULT_SCAN_CAP, _check_cap, multiples_mask
 
 MAX_EXACT_GENERATORS = 24
-DEFAULT_LCM_BOUND = 10**18
+MAX_DP_STATES = 10**6
 
 
 class GeneratorSet:
@@ -63,11 +67,7 @@ class GeneratorSet:
 
     def reduce(self) -> "GeneratorSet":
         """Primitive form: no element divides another."""
-        kept: list[int] = []
-        for a in self.elements:
-            if not any(a % b == 0 for b in kept):
-                kept.append(a)
-        return GeneratorSet(kept)
+        return GeneratorSet(_primitive(self.elements))
 
     def truncated(self, T: int) -> "GeneratorSet":
         return GeneratorSet(a for a in self.elements if a <= T)
@@ -80,45 +80,110 @@ def multiples_count(A: GeneratorSet, x: int) -> int:
     return int(np.count_nonzero(mask[1:]))
 
 
-def _subset_sums(gens: Sequence[int], lcm_bound: int) -> tuple[list[Fraction], Fraction, int]:
-    """DFS over nonempty subsets, accumulating S_k = sum over |S|=k of
-    1/lcm(S).  Subtrees whose running lcm exceeds lcm_bound are pruned;
-    returns (S_k by size, signed inclusion-exclusion total, pruned count)."""
-    n = len(gens)
-    sums = [Fraction(0)] * (n + 1)
-    pruned = 0
-
-    def walk(idx: int, lcm: int, size: int):
-        nonlocal pruned
-        for i in range(idx, n):
-            new = lcm * gens[i] // math.gcd(lcm, gens[i])
-            if new > lcm_bound:
-                # all supersets of this branch have lcm >= new
-                pruned += 1 << (n - i - 1)
-                continue
-            sums[size + 1] += Fraction(1, new)
-            walk(i + 1, new, size + 1)
-
-    walk(0, 1, 0)
-    total = Fraction(0)
-    for k in range(1, n + 1):
-        total += sums[k] if k % 2 == 1 else -sums[k]
-    return sums, total, pruned
+def _primitive(values: Iterable[int]) -> tuple[int, ...]:
+    """Ascending elements of values that no smaller element divides; (1,)
+    when 1 is among them."""
+    kept: list[int] = []
+    for a in sorted(set(values)):
+        if not any(a % b == 0 for b in kept):
+            kept.append(a)
+    return tuple(kept)
 
 
-def density_bracket(
-    A: GeneratorSet,
-    method: str = "auto",
-    depth: int = 3,
-    lcm_bound: int = DEFAULT_LCM_BOUND,
-) -> DensityEstimate:
+class _ValuationDP:
+    """d M(S) for sets S of divisors of elements of gens, by the valuation DP.
+
+    The generators are factored once, and the memo lives as long as the
+    object, so related sets share states.  A state is stored as (N, L) with
+    L = lcm(state) and density N / L: with integer numerators no gcd is taken
+    until the final Fraction.
+    """
+
+    def __init__(self, gens: Sequence[int]):
+        self.n_gens = len(gens)
+        self.primes = sorted({p for a in set(gens) for p, _ in factor_int(a).factors},
+                             reverse=True)
+        self.tops: dict[int, tuple[int, int]] = {}
+        self.memo: dict[tuple[int, ...], tuple[int, int]] = {(): (0, 1), (1,): (1, 1)}
+
+    def density(self, elems: Iterable[int]) -> Fraction:
+        num, den = self._solve(_primitive(elems))
+        return Fraction(num, den)
+
+    def _top(self, q: int) -> tuple[int, int]:
+        """(p, v_p(q)) for the largest prime p of q > 1."""
+        hit = self.tops.get(q)
+        if hit is None:
+            p = next(p for p in self.primes if q % p == 0)
+            v, r = 1, q // p
+            while r % p == 0:
+                v, r = v + 1, r // p
+            hit = self.tops[q] = (p, v)
+        return hit
+
+    def _solve(self, state: tuple[int, ...]) -> tuple[int, int]:
+        hit = self.memo.get(state)
+        if hit is not None:
+            return hit
+        tq = [self._top(q) for q in state]
+        p = max(tp for tp, _ in tq)
+        # q = p^v r with r free of p, which matches n iff v <= v_p(n) and r | n
+        parts = [(v, q // p**v) if tp == p else (0, q) for q, (tp, v) in zip(state, tq)]
+        levels = sorted({v for v, _ in parts})
+        e = levels[-1]
+        lcm_rest = math.lcm(*(r for _, r in parts))
+        num = 0
+        for i, u in enumerate(levels):
+            # v_p(n) in [u, next level) has weight p^-u - p^-next, here scaled
+            # by the p^e in the lcm; below the lowest level nothing matches
+            sub_num, sub_lcm = self._solve(_primitive(r for v, r in parts if v <= u))
+            w = p ** (e - u) - (p ** (e - levels[i + 1]) if i + 1 < len(levels) else 0)
+            num += w * (lcm_rest // sub_lcm) * sub_num
+        out = self.memo[state] = (num, p**e * lcm_rest)
+        if len(self.memo) > MAX_DP_STATES:
+            raise ResourceError(
+                f"valuation DP over {self.n_gens} generators passed {len(self.memo)} "
+                f"states, over the cap of {MAX_DP_STATES}"
+            )
+        return out
+
+
+def _valuation_density(gens: Iterable[int]) -> Fraction:
+    """Exact natural density of M(gens) by the valuation DP (memo per call)."""
+    gens = tuple(gens)
+    return _ValuationDP(gens).density(gens)
+
+
+def divisor_hit_densities(A: GeneratorSet) -> tuple[Fraction, Fraction]:
+    """Exact densities of the n with at least one and with exactly one
+    divisor in A, from one valuation-DP memo.
+
+    Given a | n, another b divides n iff b/gcd(a, b) divides n/a, so
+    P(exactly one) = sum_a (1/a)(1 - d M({b/gcd(a, b) : b != a})); the term
+    of a vanishes when some b divides a.
+    """
+    elems = A.elements
+    dp = _ValuationDP(elems)
+    one = Fraction(0)
+    for a in elems:
+        rest = [b // math.gcd(a, b) for b in elems if b != a]
+        if 1 not in rest:
+            one += (1 - dp.density(rest)) / a
+    return dp.density(elems), one
+
+
+def density_bracket(A: GeneratorSet, method: str = "auto", depth: int = 3) -> DensityEstimate:
     """Natural density of M(A) with a rigorous bracket.
 
-    exact_ie: full inclusion-exclusion over subset lcms (|A| <= 24), with
-    lcm-bound pruning folded into the bracket.  bonferroni: alternating
-    truncation; depth is 0-indexed, so depth d sums subset sizes 1..d+1 and
-    an even depth ends on a positive term (upper bound), odd on negative
-    (lower bound).
+    exact_ie: the exact density from the valuation DP (module docstring),
+    with lower == upper == point and the Fraction in `exact`.  It takes at
+    most MAX_EXACT_GENERATORS generators after primitive reduction and
+    raises ResourceError when the DP passes MAX_DP_STATES states.
+    bonferroni: alternating truncation of inclusion-exclusion over subset
+    lcms; depth is 0-indexed, so depth d sums subset sizes 1..d+1 and an even
+    depth ends on a positive term (upper bound), odd on negative (lower
+    bound).  auto: exact_ie up to MAX_EXACT_GENERATORS generators, bonferroni
+    beyond.
     """
     A = A.reduce()
     n = len(A)
@@ -129,16 +194,9 @@ def density_bracket(
     if method == "exact_ie":
         if n > MAX_EXACT_GENERATORS:
             raise ResourceError(
-                f"exact inclusion-exclusion capped at {MAX_EXACT_GENERATORS} generators, got {n}"
+                f"exact density capped at {MAX_EXACT_GENERATORS} generators, got {n}"
             )
-        sums, total, pruned = _subset_sums(A.elements, lcm_bound)
-        if pruned == 0:
-            return exact_density(total)
-        tail = Fraction(pruned, lcm_bound)
-        lo = max(0.0, float(total - tail))
-        hi = min(1.0, float(total + tail))
-        return DensityEstimate(float(total), lo, hi, "exact_ie_truncated",
-                               params={"pruned_subsets": pruned})
+        return exact_density(_valuation_density(A.elements))
     if method == "bonferroni":
         if depth < 0:
             raise DomainError(f"need depth >= 0, got {depth}")
@@ -252,17 +310,12 @@ def criterion4_scan(A: GeneratorSet, eps: float, x: int) -> float:
 
 
 def behrend_ineq_check(A: GeneratorSet, B: GeneratorSet) -> tuple[float, float, bool]:
-    """Both sides of 1 - dM(A ∪ B) >= (1 - dM(A))(1 - dM(B)) by exact
-    inclusion-exclusion."""
+    """Both sides of 1 - dM(A ∪ B) >= (1 - dM(A))(1 - dM(B)) from exact
+    densities."""
     union = GeneratorSet(set(A.elements) | set(B.elements))
-    big = 10**40  # no pruning: the check needs untruncated rationals
-    da = density_bracket(A, method="exact_ie", lcm_bound=big)
-    db = density_bracket(B, method="exact_ie", lcm_bound=big)
-    du = density_bracket(union, method="exact_ie", lcm_bound=big)
-    if da.exact is None or db.exact is None or du.exact is None:
-        raise ResourceError("behrend check needs untruncated exact densities")
-    lhs = 1 - du.exact
-    rhs = (1 - da.exact) * (1 - db.exact)
+    da, db, du = (density_bracket(G, method="exact_ie").exact for G in (A, B, union))
+    lhs = 1 - du
+    rhs = (1 - da) * (1 - db)
     return float(lhs), float(rhs), float(lhs) >= float(rhs) - 1e-12
 
 

@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ResourceError
+from .errors import DomainError, ResourceError
 from .sieve import primes_upto
 
 DEFAULT_SCAN_CAP = 200_000_000
@@ -24,7 +24,7 @@ DEFAULT_SCAN_CAP = 200_000_000
 
 def _check_cap(x: int, cap: int = DEFAULT_SCAN_CAP) -> None:
     if x < 1:
-        raise ResourceError(f"need x >= 1, got {x}")
+        raise DomainError(f"need x >= 1, got {x}")
     if x > cap:
         raise ResourceError(f"scan size {x} exceeds cap {cap}")
 

@@ -124,6 +124,26 @@ def naive_has_close_pair(n):
                for i in range(len(divs) - 1))
 
 
+def naive_ie_sums(gens):
+    """S_k = sum of 1/lcm(S) over the k-element subsets S of gens, for
+    k = 0..len(gens) (S_0 = 0), by a depth-first walk over all 2^n subsets.
+    The density of M(gens) is sum_k (-1)^(k-1) S_k."""
+    from fractions import Fraction
+
+    gens = list(gens)
+    n = len(gens)
+    sums = [Fraction(0)] * (n + 1)
+
+    def walk(idx, lcm, size):
+        for i in range(idx, n):
+            new = lcm * gens[i] // math.gcd(lcm, gens[i])
+            sums[size + 1] += Fraction(1, new)
+            walk(i + 1, new, size + 1)
+
+    walk(0, 1, 0)
+    return sums
+
+
 def naive_multiples_count(gens, x):
     hit = set()
     for a in gens:

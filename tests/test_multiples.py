@@ -76,7 +76,7 @@ def test_density_bonferroni_brackets_exact():
     for _ in range(30):
         elems = rng.sample(range(2, 200), rng.randint(2, 10))
         A = GeneratorSet(elems)
-        exact = density_bracket(A, method="exact_ie", lcm_bound=10**40).exact
+        exact = density_bracket(A, method="exact_ie").exact
         for depth in (0, 1, 2):
             est = density_bracket(A, method="bonferroni", depth=depth)
             assert est.lower - 1e-12 <= float(exact) <= est.upper + 1e-12
@@ -169,7 +169,7 @@ def test_behrend_inequality_property(a, b):
        st.integers(min_value=10, max_value=5000))
 def test_count_matches_exact_density_bound(a, x):
     A = GeneratorSet(a)
-    exact = density_bracket(A, method="exact_ie", lcm_bound=10**60).exact
+    exact = density_bracket(A, method="exact_ie").exact
     cnt = multiples_count(A, x)
     # the counting error of inclusion-exclusion floors is under 2^|A| - 1
     assert abs(cnt - float(exact) * x) <= 2 ** len(A)
