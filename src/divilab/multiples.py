@@ -1,13 +1,16 @@
 """Sets of multiples: membership, density brackets, Behrend machinery, blocks.
 
 The natural density of M(A) for a finite A is computed exactly by a DP over
-p-adic valuations.  Whether n lies in M(A) depends only on v_p(n) at the
-primes p dividing A, and under natural density these valuations are
-independent with P(v_p = j) = (1 - 1/p) p^{-j} (the product measure behind
-Behrend's inequality; Hall-Tenenbaum, *Divisors*, ch. 0).  The DP takes the
-primes in descending order; its state is the primitive set of quotients
-still to be matched.  It is exact for every set it finishes; a set whose DP
-would exceed MAX_DP_STATES states raises ResourceError instead.
+valuations.  Whether n lies in M(A) depends only on v_p(n) at the primes p
+dividing A, and under natural density these valuations are independent with
+P(v_p = j) = (1 - 1/p) p^{-j} (the product measure behind Behrend's
+inequality; Hall-Tenenbaum, *Divisors*, ch. 0).  The same holds for the
+elements of any coprime base of A, which gcd refinement finds without
+factoring.  The DP takes the base elements in descending order; its state is
+the primitive set of quotients still to be matched, split into independent
+groups whenever no base element links them.  It is exact for every set it
+finishes; a set whose DP would exceed MAX_DP_STATES states raises
+ResourceError instead.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .arith import INFINITE, Factored, divisors, factor_int
+from .arith import INFINITE, Factored, divisors
 from .density import DensityEstimate, exact_density
 from .errors import ConstraintError, DomainError, ResourceError
 from .sieve import primes_upto
@@ -90,62 +93,122 @@ def _primitive(values: Iterable[int]) -> tuple[int, ...]:
     return tuple(kept)
 
 
+def _coprime_base(values: Iterable[int]) -> list[int]:
+    """Pairwise coprime integers > 1 such that every value is a product of
+    their powers, by gcd refinement (no factorisation).
+
+    Two members that share g = gcd(x, b) > 1 are replaced by g, x/g and b/g;
+    the product of the base and the pending numbers falls by g each time, so
+    this ends.
+    """
+    base: list[int] = []
+    todo = [v for v in set(values) if v > 1]
+    while todo:
+        x = todo.pop()
+        for i, b in enumerate(base):
+            g = math.gcd(x, b)
+            if g > 1:
+                del base[i]
+                todo += [t for t in (g, x // g, b // g) if t > 1]
+                break
+        else:
+            base.append(x)
+    return base
+
+
 class _ValuationDP:
     """d M(S) for sets S of divisors of elements of gens, by the valuation DP.
 
-    The generators are factored once, and the memo lives as long as the
-    object, so related sets share states.  A state is stored as (N, L) with
+    The DP runs over a coprime base of the generators instead of their
+    primes: for a base element m, P(v_m(n) >= k) = m^-k, and by CRT the
+    valuations at coprime base elements are independent, so the product
+    measure is the same as over primes.  A state whose elements fall into
+    groups sharing no base element is split, and its density is
+    1 - prod(1 - d(group)).  The memo lives as long as the object, so
+    related sets share states.  A state is stored as (N, L) with
     L = lcm(state) and density N / L: with integer numerators no gcd is taken
     until the final Fraction.
     """
 
     def __init__(self, gens: Sequence[int]):
         self.n_gens = len(gens)
-        self.primes = sorted({p for a in set(gens) for p, _ in factor_int(a).factors},
-                             reverse=True)
-        self.tops: dict[int, tuple[int, int]] = {}
+        self.base = sorted(_coprime_base(gens), reverse=True)
+        self.profiles: dict[int, tuple[int, int, int]] = {}
         self.memo: dict[tuple[int, ...], tuple[int, int]] = {(): (0, 1), (1,): (1, 1)}
 
     def density(self, elems: Iterable[int]) -> Fraction:
         num, den = self._solve(_primitive(elems))
         return Fraction(num, den)
 
-    def _top(self, q: int) -> tuple[int, int]:
-        """(p, v_p(q)) for the largest prime p of q > 1."""
-        hit = self.tops.get(q)
+    def _profile(self, q: int) -> tuple[int, int, int]:
+        """(m, v_m(q), mask) for q > 1: m is the largest base element dividing
+        q and bit i of mask is set when base[i] divides q."""
+        hit = self.profiles.get(q)
         if hit is None:
-            p = next(p for p in self.primes if q % p == 0)
-            v, r = 1, q // p
-            while r % p == 0:
-                v, r = v + 1, r // p
-            hit = self.tops[q] = (p, v)
+            mask = 0
+            for i, m in enumerate(self.base):
+                if q % m == 0:
+                    mask |= 1 << i
+            m = self.base[(mask & -mask).bit_length() - 1]
+            v, r = 1, q // m
+            while r % m == 0:
+                v, r = v + 1, r // m
+            hit = self.profiles[q] = (m, v, mask)
         return hit
 
     def _solve(self, state: tuple[int, ...]) -> tuple[int, int]:
         hit = self.memo.get(state)
         if hit is not None:
             return hit
-        tq = [self._top(q) for q in state]
-        p = max(tp for tp, _ in tq)
-        # q = p^v r with r free of p, which matches n iff v <= v_p(n) and r | n
-        parts = [(v, q // p**v) if tp == p else (0, q) for q, (tp, v) in zip(state, tq)]
-        levels = sorted({v for v, _ in parts})
-        e = levels[-1]
-        lcm_rest = math.lcm(*(r for _, r in parts))
-        num = 0
-        for i, u in enumerate(levels):
-            # v_p(n) in [u, next level) has weight p^-u - p^-next, here scaled
-            # by the p^e in the lcm; below the lowest level nothing matches
-            sub_num, sub_lcm = self._solve(_primitive(r for v, r in parts if v <= u))
-            w = p ** (e - u) - (p ** (e - levels[i + 1]) if i + 1 < len(levels) else 0)
-            num += w * (lcm_rest // sub_lcm) * sub_num
-        out = self.memo[state] = (num, p**e * lcm_rest)
+        profs = [self._profile(q) for q in state]
+        groups: list[tuple[int, list[int]]] = []
+        for q, (_, _, mask) in zip(state, profs):
+            members = [q]
+            rest = []
+            for g_mask, g_members in groups:
+                if g_mask & mask:
+                    mask |= g_mask
+                    members += g_members
+                else:
+                    rest.append((g_mask, g_members))
+            rest.append((mask, members))
+            groups = rest
+        if len(groups) > 1:
+            # groups have coprime lcms, so lcm(state) is their product
+            whole = miss = 1
+            for _, members in groups:
+                num, den = self._solve(tuple(sorted(members)))
+                whole *= den
+                miss *= den - num
+            out = (whole - miss, whole)
+        elif len(state) == 1:
+            out = (1, state[0])
+        else:
+            out = self._branch(state, profs)
+        self.memo[state] = out
         if len(self.memo) > MAX_DP_STATES:
             raise ResourceError(
                 f"valuation DP over {self.n_gens} generators passed {len(self.memo)} "
                 f"states, over the cap of {MAX_DP_STATES}"
             )
         return out
+
+    def _branch(self, state: tuple[int, ...], profs) -> tuple[int, int]:
+        """Branch on v_m(n) for the largest base element m in the state."""
+        m = max(tm for tm, _, _ in profs)
+        # q = m^v r with m not dividing r, which matches n iff v <= v_m(n) and r | n
+        parts = [(v, q // m**v) if tm == m else (0, q) for q, (tm, v, _) in zip(state, profs)]
+        levels = sorted({v for v, _ in parts})
+        e = levels[-1]
+        lcm_rest = math.lcm(*(r for _, r in parts))
+        num = 0
+        for i, u in enumerate(levels):
+            # v_m(n) in [u, next level) has weight m^-u - m^-next, here scaled
+            # by the m^e in the lcm; below the lowest level nothing matches
+            sub_num, sub_lcm = self._solve(_primitive(r for v, r in parts if v <= u))
+            w = m ** (e - u) - (m ** (e - levels[i + 1]) if i + 1 < len(levels) else 0)
+            num += w * (lcm_rest // sub_lcm) * sub_num
+        return num, m**e * lcm_rest
 
 
 def _valuation_density(gens: Iterable[int]) -> Fraction:

@@ -51,6 +51,8 @@ def test_multiples_count_examples():
     A = GeneratorSet(interval=(4, 8))
     assert multiples_count(A, 35) == naive_multiples_count(A.elements, 35)
     assert multiples_count(A, 35) == 18
+    with pytest.raises(DomainError):  # a scan size below 1 is a domain error
+        multiples_count(GeneratorSet([2]), 0)
 
 
 def test_reduction_preserves_counts():

@@ -5,15 +5,18 @@ its exactly-one density sum_k (-1)^(k-1) k S_k, where S_k sums 1/lcm over
 the k-element subsets of A.
 """
 
+import math
 import random
+import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from divilab import DomainError, GeneratorSet, ResourceError, density_bracket, multiples_count
+from divilab import GeneratorSet, ResourceError, density_bracket
 from divilab import multiples
 from divilab.experiments import eps_pair
-from divilab.multiples import _valuation_density, divisor_hit_densities
+from divilab.multiples import _coprime_base, _valuation_density, divisor_hit_densities
 
 from oracles import naive_ie_sums, trial_divisors, trial_factor
 
@@ -92,6 +95,49 @@ def test_small_known_densities():
     assert _valuation_density([8, 12, 18]) == Fraction(7, 36)  # 1/8 + 1/12 + 1/18 - 1/24 - 1/36
 
 
-def test_scan_size_below_one_is_domain_error():
-    with pytest.raises(DomainError):
-        multiples_count(GeneratorSet([2]), 0)
+def test_coprime_base_refines_generators():
+    rng = random.Random(99)
+    for _ in range(40):
+        gens = rng.sample(range(2, 2001), rng.randint(1, 12))
+        base = _coprime_base(gens)
+        assert all(math.gcd(a, b) == 1 for a, b in combinations(base, 2))
+        for a in gens:
+            for m in base:
+                while a % m == 0:
+                    a //= m
+            assert a == 1
+
+
+def test_pairwise_coprime_semiprimes():
+    # p_i * p_(49-i) over the first 48 primes: 2*223, 3*211, ..., 89*97
+    primes = [p for p in range(2, 224) if all(p % d for d in range(2, p))]
+    gens = [primes[i] * primes[47 - i] for i in range(24)]
+    miss = math.prod(1 - Fraction(1, g) for g in gens)
+    est = density_bracket(GeneratorSet(gens), method="exact_ie")
+    assert est.method == "exact_ie" and est.exact == 1 - miss
+
+
+def test_groups_split_inside_the_dp(monkeypatch):
+    # x_i y_i for 20 small x_i and larger y_i, linked by prod y_i until the
+    # DP branches past the y_i; without splitting this takes 2^20 states
+    primes = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
+    xs, ys = primes[:20], primes[20:40]
+    gens = [x * y for x, y in zip(xs, ys)] + [math.prod(ys)]
+    # 1 - d = P(no x_i y_i | n) - P(every y_i | n and no x_i y_i | n)
+    miss = (math.prod(1 - Fraction(1, x * y) for x, y in zip(xs, ys))
+            - math.prod(Fraction(1, y) * (1 - Fraction(1, x)) for x, y in zip(xs, ys)))
+    monkeypatch.setattr(multiples, "MAX_DP_STATES", 500)
+    assert density_bracket(GeneratorSet(gens), method="exact_ie").exact == 1 - miss
+
+
+def test_large_generators_need_no_factorisation():
+    p, q, r = 2**61 - 1, 2**89 - 1, 10**17 + 3  # two Mersenne primes and a cofactor
+    start = time.perf_counter()
+    assert _valuation_density([p, q]) == 1 - (1 - Fraction(1, p)) * (1 - Fraction(1, q))
+    # p divides both: d = (1/p)(1 - (1 - 1/q)(1 - 1/r)) when q and r are coprime
+    assert math.gcd(q, r) == 1
+    assert _valuation_density([p * q, p * r]) == Fraction(1, p) * (
+        1 - (1 - Fraction(1, q)) * (1 - Fraction(1, r)))
+    eps, eps1 = divisor_hit_densities(GeneratorSet([p, q]))
+    assert eps1 == Fraction(1, p) * (1 - Fraction(1, q)) + Fraction(1, q) * (1 - Fraction(1, p))
+    assert time.perf_counter() - start < 1.0
