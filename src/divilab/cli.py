@@ -69,6 +69,22 @@ class RunConfig:
     params: dict = field(default_factory=dict)
 
 
+def _numbers(text: str, cast=int, sep: str = ",", count: int | None = None) -> list:
+    """Parse a sep-separated flag or config value; a malformed fragment or the
+    wrong number of fragments is a usage error."""
+    parts = text.split(sep)
+    if count is not None and len(parts) != count:
+        raise UsageError(f"expected {count} value(s) separated by {sep!r}, got {text!r}")
+    try:
+        return [cast(v) for v in parts]
+    except ValueError:
+        raise UsageError(f"malformed number in {text!r}") from None
+
+
+def _number(text: str, cast=int):
+    return _numbers(text, cast, count=1)[0]
+
+
 def _make_config(args, file_cfg: dict) -> RunConfig:
     def pick(flag, key, cast, default=None):
         if flag is not None:
@@ -78,11 +94,11 @@ def _make_config(args, file_cfg: dict) -> RunConfig:
         return default
 
     return RunConfig(
-        sieve_limit=pick(getattr(args, "limit", None), "sieve_limit", int),
+        sieve_limit=pick(getattr(args, "limit", None), "sieve_limit", _number),
         cache_path=pick(getattr(args, "sieve_cache", None), "cache_path", str,
                         os.environ.get("DIVILAB_CACHE")),
-        threads=pick(getattr(args, "threads", None), "threads", int, 1),
-        seed=pick(getattr(args, "seed", None), "seed", int),
+        threads=pick(getattr(args, "threads", None), "threads", _number, 1),
+        seed=pick(getattr(args, "seed", None), "seed", _number),
         output=pick(getattr(args, "format", None), "output", str),
         params=dict(file_cfg),
     )
@@ -234,9 +250,9 @@ def _parse_what(what: str):
     if what in ("delta", "delta-mu", "tauplus", "g"):
         return what, None
     if what.startswith("er:"):
-        return "er", int(what.split(":", 1)[1])
+        return "er", _number(what.split(":", 1)[1])
     if what.startswith("ftheta:"):
-        return "ftheta", float(what.split(":", 1)[1])
+        return "ftheta", _number(what.split(":", 1)[1], float)
     raise UsageError(f"unknown --what {what!r}")
 
 
@@ -245,7 +261,7 @@ def _run_fn(args, cfg):
     if args.n is None and not args.nrange:
         raise UsageError("fn needs --n or --range")
     if args.nrange:
-        lo, hi = (int(v) for v in args.nrange.split(":", 1))
+        lo, hi = _numbers(args.nrange, sep=":", count=2)
     else:
         lo = hi = args.n
     if lo < 1 or hi < lo:
@@ -326,15 +342,16 @@ def _parse_generators(args) -> GeneratorSet | None:
     if sum(given) != 1:
         raise UsageError("multiples needs exactly one of --gens/--interval/--family")
     if args.gens:
-        return GeneratorSet(int(v) for v in args.gens.split(","))
+        return GeneratorSet(_numbers(args.gens))
     if args.interval:
-        y, z = (int(v) for v in args.interval.split(":", 1))
+        y, z = _numbers(args.interval, sep=":", count=2)
         return GeneratorSet(interval=(y, z))
     fam = args.family
     if fam.startswith("a_lambda:"):
-        seq = block_builder("a_lambda", {"lam": float(fam.split(":", 1)[1])}, args.J)
+        lam = _number(fam.split(":", 1)[1], float)
+        seq = block_builder("a_lambda", {"lam": lam}, args.J)
     elif fam.startswith("theorem3:"):
-        s, t, g, a = (float(v) for v in fam.split(":", 1)[1].split(","))
+        s, t, g, a = _numbers(fam.split(":", 1)[1], float, count=4)
         seq = block_builder("theorem3", {"sigma": s, "tau": t, "gamma": g, "alpha": a},
                             args.J)
     elif fam == "besicovitch":
@@ -347,17 +364,17 @@ def _parse_generators(args) -> GeneratorSet | None:
 def _run_multiples(args, cfg):
     gens = _parse_generators(args)
     spec = args.density
+    _, _, arg = spec.partition(":")
     if spec == "exact":
         est = density_bracket(gens, method="exact_ie")
     elif spec.startswith("bonferroni:"):
-        est = density_bracket(gens, method="bonferroni", depth=int(spec.split(":")[1]))
+        est = density_bracket(gens, method="bonferroni", depth=_number(arg))
     elif spec.startswith("sieve:"):
-        est = sieve_density(gens, int(spec.split(":")[1]))
+        est = sieve_density(gens, _number(arg))
     elif spec.startswith("log:"):
-        est = log_density(gens, int(spec.split(":")[1]))
+        est = log_density(gens, _number(arg))
     elif spec.startswith("seq:"):
-        grid = [int(v) for v in spec.split(":", 1)[1].split(",")]
-        ests = sequential_density(gens, grid)
+        ests = sequential_density(gens, _numbers(arg))
         rec = ResultRecord("multiples", {"density": spec},
                            {"sequence": [e.as_record() for e in ests]})
         return rec, None
@@ -374,15 +391,17 @@ def _parse_theta(text: str):
     if text == "sqrt2":
         return exp.sqrt2_fraction()
     if "/" in text:
-        a, b = text.split("/", 1)
-        return Fraction(int(a), int(b))
-    return float(text)
+        a, b = _numbers(text, sep="/", count=2)
+        if b == 0:
+            raise UsageError(f"zero denominator in --theta {text!r}")
+        return Fraction(a, b)
+    return _number(text, float)
 
 
 def _run_exp(args, cfg):
     preset = args.preset
     if preset == "median-primes":
-        ks = [int(v) for v in (args.k or "2,3").split(",")]
+        ks = _numbers(args.k or "2,3")
         vals = {}
         for k in ks:
             det = median_prime_detail(k)
@@ -488,9 +507,6 @@ def dispatch(argv: list[str]) -> int:
     except ResourceError as err:
         sys.stderr.write(f"resource error: {err}\n")
         return 3
-    except ValueError as err:  # malformed numeric fragments in flag values
-        sys.stderr.write(f"usage error: {err}\n")
-        return 64
 
 
 def _run_manifest(args) -> int:
@@ -505,12 +521,16 @@ def _run_manifest(args) -> int:
         if not line or line.startswith("#"):
             continue
         try:
-            sub = parser.parse_args(shlex.split(line))
+            try:
+                argv = shlex.split(line)
+            except ValueError as err:  # unbalanced quotes
+                raise UsageError(f"bad manifest line: {err}") from None
+            sub = parser.parse_args(argv)
             if sub.cmd is None or sub.cmd == "manifest":
                 raise UsageError("manifest lines must be operation subcommands")
             sub_cfg = _make_config(sub, _load_config(getattr(sub, "config", None)))
             outputs.append(_execute(sub, sub_cfg).rstrip("\n"))
-        except (UsageError, DomainError, ResourceError, ValueError) as err:
+        except (UsageError, DomainError, ResourceError) as err:
             failures += 1
             outputs.append(json.dumps(
                 {"command": "error", "line": lineno, "message": str(err)},

@@ -18,21 +18,25 @@ from .errors import DomainError
 # ---------------------------------------------------------------------------
 # oscillating weights on divisors
 
-def _mu_small(d: int) -> int:
-    if d == 1:
-        return 1
-    mu = 1
-    p = 2
-    while p * p <= d:
-        if d % p == 0:
-            d //= p
-            if d % p == 0:
-                return 0
-            mu = -mu
-        p += 1 if p == 2 else 2
-    if d > 1:
-        mu = -mu
-    return mu
+def _moebius_weights(divs: Sequence[int]) -> list[float]:
+    """mu(d) over the ascending divisors of n = divs[-1].  The distinct primes
+    of n are the divisors > 1 that no smaller prime divisor divides: each is
+    the smallest divisor left dividing n once the smaller primes are divided
+    out.  mu(d) is (-1)^k on the products of k distinct primes, else 0."""
+    primes = []
+    m = divs[-1]
+    for d in divs:
+        if m == 1:
+            break
+        if d > 1 and m % d == 0:
+            primes.append(d)
+            while m % d == 0:
+                m //= d
+    mu = {1: 1}
+    for p in primes:
+        for d, sign in list(mu.items()):
+            mu[d * p] = -sign
+    return [float(mu.get(d, 0)) for d in divs]
 
 
 class OscWeight:
@@ -76,10 +80,11 @@ class OscWeight:
                     raise DomainError("character table is not completely multiplicative")
 
     def weights(self, divs: Sequence[int]) -> list[float]:
+        """Weights of the ascending divisors of some n."""
         if self.kind == "unit":
             return [1.0] * len(divs)
         if self.kind == "moebius":
-            return [float(_mu_small(d)) for d in divs]
+            return _moebius_weights(divs)
         m, t = self.modulus, self.table
         return [float(t[d % m]) for d in divs]
 

@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 
 from .density import DensityEstimate, exact_density
 from .errors import DomainError, ResourceError
@@ -216,11 +214,16 @@ def nu_distribution(x: int, grid: tuple[float, ...] | None = None) -> EmpiricalD
         grid = tuple(i / 50 for i in range(1, 51))
     if list(grid) != sorted(grid):
         raise DomainError("grid must be ascending")
-    tp = tauplus_table(x)[1:].astype(np.float64)
-    tau = tau_table(x)[1:]
-    ratio = np.sort(tp / tau)
+    tp = tauplus_table(x)
+    tau = tau_table(x)
     g = np.asarray(grid, dtype=np.float64)
-    cum = np.searchsorted(ratio, g, side="right") / x
+    counts = np.zeros(len(g), dtype=np.int64)
+    block = 1 << 20
+    for lo in range(1, x + 1, block):  # blocks bound the float64 temporaries
+        hi = min(lo + block, x + 1)
+        ratio = np.sort(tp[lo:hi].astype(np.float64) / tau[lo:hi])
+        counts += np.searchsorted(ratio, g, side="right")
+    cum = counts / x
     masses = np.diff(np.concatenate(([0.0], cum)))  # mass in each cell (g_{i-1}, g_i]
     order = np.argsort(masses)[::-1][:5]
     jumps = tuple(sorted((float(g[i]), float(masses[i])) for i in order))
@@ -302,21 +305,39 @@ def pplus_adjacency(x: int) -> PPlusStats:
 # ---------------------------------------------------------------------------
 # the consecutive-ratio integral lower bound
 
+def _li2(t: float) -> float:
+    """Dilogarithm sum_{k>=1} t^k/k^2 for 0 <= t <= 1/2, where 60 terms leave
+    a tail below 1e-21."""
+    return sum(t**k / (k * k) for k in range(1, 61))
+
+
 def lower_bound_integral(c: float) -> float:
-    """log(1/(1-c)) - 2 * int_0^c log((1-v)/(1-v-2c)) dv/(1-v) for 0 < c < 1/5."""
+    """log(1/(1-c)) - 2 * int_0^c log((1-v)/(1-v-2c)) dv/(1-v) for 0 < c < 1/5.
+
+    With t = 2c/(1-v) the integral is Li_2(2c/(1-c)) - Li_2(2c), and both
+    arguments stay below 1/2 on (0, 1/5)."""
     if not 0.0 < c < 0.2:
         raise DomainError(f"need 0 < c < 1/5, got {c}")
-    val, _ = quad(lambda v: math.log((1 - v) / (1 - v - 2 * c)) / (1 - v),
-                  0.0, c, epsabs=1e-12, epsrel=1e-12)
-    return math.log(1.0 / (1.0 - c)) - 2.0 * val
+    return -math.log1p(-c) - 2.0 * (_li2(2.0 * c / (1.0 - c)) - _li2(2.0 * c))
 
 
 def maximize_lower_bound() -> tuple[float, float]:
-    """(c*, value) maximizing the integral lower bound over (0, 1/5)."""
-    res = minimize_scalar(lambda c: -lower_bound_integral(c),
-                          bounds=(1e-9, 0.2 - 1e-9), method="bounded",
-                          options={"xatol": 1e-10})
-    return float(res.x), float(-res.fun)
+    """(c*, value) maximizing the integral lower bound over (0, 1/5), by
+    golden-section search (Kiefer 1953); the bound is unimodal there."""
+    r = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = 1e-9, 0.2 - 1e-9
+    x1, x2 = b - r * (b - a), a + r * (b - a)
+    f1, f2 = lower_bound_integral(x1), lower_bound_integral(x2)
+    while b - a > 1e-10:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + r * (b - a)
+            f2 = lower_bound_integral(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - r * (b - a)
+            f1 = lower_bound_integral(x1)
+    return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +399,8 @@ def dtheta_min(f, theta) -> tuple[float, int]:
     float or a Fraction (exact arithmetic in the latter case)."""
     from .arith import divisors
 
+    if not math.isfinite(theta):
+        raise DomainError(f"need a finite theta, got {theta}")
     spec = divisors(f)
     best = None
     best_d = 1

@@ -7,7 +7,7 @@ The density of integers whose k-th smallest distinct prime factor equals p is
 where e_j(p) is the j-th elementary symmetric function of {1/(q-1): q < p}.
 The e_j are accumulated by an all-positive DP (no cancellation), so doubles
 carry relative error O(pi(p) * ulp) -- certified against an exact-rational
-mode for small p.
+oracle for small p in the tests.
 """
 
 from __future__ import annotations
@@ -25,13 +25,12 @@ from .sieve import is_prime_u64, primes_upto
 
 def lambda_sweep(pmax: int, kmax: int | None = None):
     """Iterate primes p <= pmax in ascending order, yielding
-    (p, prod_{q<p}(1-1/q), e) where e[j] is the elementary symmetric function
-    of {1/(q-1): q < p} truncated at kmax.
+    (p, prod_{q<p}(1-1/q), e, seen) where e[j] is the elementary symmetric
+    function of {1/(q-1): q < p} truncated at kmax and seen = pi(p - 1).
 
-    The e buffer is reused between iterations; copy it if you keep it.
-    After the loop, e and prod cover all primes <= pmax.  The final state is
-    available from the generator's return value via StopIteration, or use
-    sweep_totals().
+    This is the one float e_j DP: every local-law query reads its state at
+    some prime.  The e buffer is reused between iterations; copy it if you
+    keep it.
     """
     primes = [int(p) for p in primes_upto(pmax)]
     size = (len(primes) if kmax is None else min(kmax, len(primes))) + 1
@@ -45,17 +44,20 @@ def lambda_sweep(pmax: int, kmax: int | None = None):
         e[1:hi + 1] += e[:hi] / (p - 1)
         seen += 1
         prod *= 1.0 - 1.0 / p
-    return prod, e
 
 
-def sweep_totals(pmax: int, kmax: int | None = None):
-    """prod_{p<=pmax}(1-1/p) and e_j over {1/(q-1): q <= pmax}."""
-    gen = lambda_sweep(pmax, kmax)
-    try:
-        while True:
-            next(gen)
-    except StopIteration as stop:
-        return stop.value
+def _state_at(p: int, kmax: int | None = None):
+    """The sweep's state at the prime p: (prod_{q<p}(1-1/q), e, pi(p - 1))."""
+    for q, prod, e, seen in lambda_sweep(p, kmax):
+        if q == p:
+            return prod, e, seen
+
+
+def _next_prime(n: int) -> int:
+    q = n + 1
+    while not is_prime_u64(q):
+        q += 1
+    return q
 
 
 @dataclass(frozen=True)
@@ -75,25 +77,8 @@ def s_coeffs(p: int, kmax: int) -> SymmetricCoeffs:
         raise DomainError(f"s_coeffs needs a prime, got {p}")
     if kmax < 0:
         raise DomainError(f"need kmax >= 0, got {kmax}")
-    e = np.zeros(kmax + 1)
-    e[0] = 1.0
-    for q in primes_upto(p - 1):
-        e[1:] += e[:-1] / (int(q) - 1)
-    return SymmetricCoeffs(p, kmax, e)
-
-
-def s_coeffs_exact(p: int, kmax: int) -> list[Fraction]:
-    """Exact-rational elementary symmetric functions, for certifying doubles
-    (practical for p up to about 10^3)."""
-    if not is_prime_u64(p):
-        raise DomainError(f"s_coeffs_exact needs a prime, got {p}")
-    e = [Fraction(0)] * (kmax + 1)
-    e[0] = Fraction(1)
-    for q in primes_upto(p - 1):
-        w = Fraction(1, int(q) - 1)
-        for j in range(kmax, 0, -1):
-            e[j] += e[j - 1] * w
-    return e
+    _, e, _ = _state_at(p, kmax)
+    return SymmetricCoeffs(p, kmax, np.pad(e, (0, kmax + 1 - len(e))))
 
 
 def lambda_kp(k: int, p: int) -> float:
@@ -103,14 +88,10 @@ def lambda_kp(k: int, p: int) -> float:
         raise DomainError(f"need k >= 1, got {k}")
     if not is_prime_u64(p):
         raise DomainError(f"lambda_kp needs a prime, got {p}")
-    qs = primes_upto(p - 1)
-    if k - 1 > len(qs):
+    prod, e, seen = _state_at(p, k - 1)
+    if k - 1 > seen:
         return 0.0
-    coeffs = s_coeffs(p, k - 1)
-    prod = 1.0
-    for q in qs:
-        prod *= 1.0 - 1.0 / int(q)
-    return prod * coeffs.e[k - 1] / p
+    return prod * e[k - 1] / p
 
 
 @dataclass(frozen=True)
@@ -132,16 +113,14 @@ def lambda_row(k: int, P: int) -> LocalLawRow:
         raise DomainError(f"need P >= 2, got {P}")
     entries = []
     total = 0.0
-    gen = lambda_sweep(P, k)
-    try:
-        while True:
-            p, prod, e, seen = next(gen)
-            lam = float(e[k - 1]) * prod / p if k - 1 <= seen else 0.0
-            entries.append((p, lam))
-            total += lam
-    except StopIteration as stop:
-        prod_all, e_all = stop.value
-    tail = float(prod_all * e_all[:k].sum())
+    # sweep to the first prime above P: its state covers exactly the primes <= P
+    for p, prod, e, seen in lambda_sweep(_next_prime(P), k):
+        if p > P:
+            break
+        lam = float(e[k - 1]) * prod / p if k - 1 <= seen else 0.0
+        entries.append((p, lam))
+        total += lam
+    tail = float(prod * e[:min(k, seen + 1)].sum())
     return LocalLawRow(k, tuple(entries), total, tail)
 
 
@@ -215,25 +194,12 @@ def phi0_correction(z: float, A: float | None = None) -> float:
     return math.exp(-z * z / 2.0) * (1.0 / 3.0 + A - z * z / 3.0)
 
 
-def _coeff_vector(p: int) -> np.ndarray:
-    """Full e-array over primes < p (length pi(p-1) + 1)."""
-    qs = [int(q) for q in primes_upto(p - 1)]
-    e = np.zeros(len(qs) + 1)
-    e[0] = 1.0
-    for q in qs:
-        e[1:] += e[:-1] / (q - 1)
-    return e
-
-
 def lambda_mode(p: int) -> tuple[int, float]:
     """(k*, lambda*) maximizing lambda_k(p) over k, ties toward smaller k."""
     if not is_prime_u64(p):
         raise DomainError(f"lambda_mode needs a prime, got {p}")
-    e = _coeff_vector(p)
-    prod = 1.0
-    for q in primes_upto(p - 1):
-        prod *= 1.0 - 1.0 / int(q)
-    j = int(np.argmax(e))  # first max wins
+    prod, e, seen = _state_at(p)
+    j = int(np.argmax(e[:seen + 1]))  # first max wins
     return j + 1, float(e[j] * prod / p)
 
 
@@ -249,7 +215,8 @@ def unimodal_check(p: int) -> bool:
     """True iff {lambda_k(p)}_k rises then falls (plateaus allowed)."""
     if not is_prime_u64(p):
         raise DomainError(f"unimodal_check needs a prime, got {p}")
-    return _unimodal(_coeff_vector(p))
+    _, e, seen = _state_at(p)
+    return _unimodal(e[:seen + 1])
 
 
 # ---------------------------------------------------------------------------

@@ -117,28 +117,10 @@ def omega_table(x: int, with_multiplicity: bool = False) -> np.ndarray:
     return om
 
 
-def mu_table(x: int) -> np.ndarray:
-    """Moebius function for 0..x as int8."""
-    _check_cap(x)
-    mu = np.ones(x + 1, dtype=np.int8)
-    pr = primes_upto(x)
-    D = max(math.isqrt(x), 2)
-    for p in pr[pr <= D]:
-        p = int(p)
-        mu[p::p] *= -1
-        mu[p * p:: p * p] = 0
-    large = pr[pr > D]
-    for m in range(1, x // (D + 1) + 1):
-        sel = large[large <= x // m]
-        mu[m * sel] *= -1
-    mu[0] = 0
-    return mu
-
-
 def totient_segment(lo: int, hi: int, small_primes: np.ndarray) -> np.ndarray:
     """Euler phi for the segment [lo, hi); small_primes must cover sqrt(hi)."""
     if lo < 1:
-        raise ResourceError("totient segment needs lo >= 1")
+        raise DomainError(f"totient segment needs lo >= 1, got {lo}")
     rem = np.arange(lo, hi, dtype=np.int64)
     phi = np.ones(hi - lo, dtype=np.int64)
     for p in small_primes:
@@ -183,7 +165,7 @@ def multiples_mask(generators, x: int) -> np.ndarray:
     for a in generators:
         a = int(a)
         if a <= 0:
-            raise ResourceError("generators must be positive")
+            raise DomainError(f"generators must be positive, got {a}")
         if a <= x and not out[a]:
             out[a::a] = True
     return out

@@ -181,6 +181,21 @@ def naive_lambda_kd(k, d):
     return Fraction(cnt, L)
 
 
+def s_coeffs_exact(p, kmax):
+    """Exact-rational elementary symmetric functions e_0..e_kmax of
+    {1/(q-1): q prime < p}, primes by trial division."""
+    from fractions import Fraction
+
+    e = [Fraction(0)] * (kmax + 1)
+    e[0] = Fraction(1)
+    for q in range(2, p):
+        if trial_factor(q) == [(q, 1)]:
+            w = Fraction(1, q - 1)
+            for j in range(kmax, 0, -1):
+                e[j] += e[j - 1] * w
+    return e
+
+
 def lambda_kd_formula(k, d, limit=10**13):
     """Independent route to the k-th-divisor density: the friable-sum formula
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import divilab
 from divilab.cli import dispatch
 
 
@@ -147,10 +152,16 @@ def test_unknown_flag_is_usage_error(capsys):
     assert code == 64
     code, _ = run(capsys, "multiples", "--interval", "4-8", "--density", "exact")
     assert code == 64
+    code, _ = run(capsys, "multiples", "--interval", "3x:54", "--density", "exact")
+    assert code == 64
+    code, _ = run(capsys, "exp", "--preset", "dtheta", "--theta", "1/0")
+    assert code == 64
 
 
 def test_domain_error_exit(capsys):
     code, _ = run(capsys, "fn", "--n", "4", "--what", "er:9")
+    assert code == 2
+    code, _ = run(capsys, "exp", "--preset", "dtheta", "--theta", "nan")
     assert code == 2
 
 
@@ -231,3 +242,15 @@ def test_config_file(tmp_path, capsys):
     cfg.write_text("nonsense line\n")
     code, _ = run(capsys, "exp", "--preset", "constants", "--config", str(cfg))
     assert code == 64
+
+
+def test_cli_import_loads_no_scipy():
+    """numpy is the only runtime dependency: a fresh interpreter importing the
+    CLI must not pull in scipy."""
+    env = dict(os.environ)
+    src = str(Path(divilab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import sys, divilab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -125,12 +125,15 @@ def test_character_weight_validation():
 
 
 def test_oracle_equivalence_prefix(sieve_1e4):
-    """Spot the full-range acceptance sweep on 1..1500 plus scattered large n."""
+    """Spot the full-range acceptance sweep on 1..1500 plus scattered large n,
+    a prime, a prime square and the highly composite 720720."""
+    from divilab.arith import factor_int
+
     mu_w = OscWeight.moebius()
     ind = RatioWeight.indicator(0.5)
-    ns = list(range(1, 1501)) + list(range(1501, 10001, 251))
+    ns = list(range(1, 1501)) + list(range(1501, 10001, 251)) + [9973, 97 * 97, 720720]
     for n in ns:
-        spec = spec_of(n, sieve_1e4)
+        spec = spec_of(n, sieve_1e4) if n <= 10**4 else divisors(factor_int(n))
         assert delta(spec) == naive_delta(n)
         assert delta_osc(spec, mu_w) == pytest.approx(naive_delta_osc(n, naive_mu), abs=1e-9)
         assert tau_plus(spec) == naive_tau_plus(n)

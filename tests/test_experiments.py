@@ -130,7 +130,7 @@ def test_lower_bound_riemann_random_cs():
     for _ in range(10):
         c = rng.uniform(0.01, 0.19)
         assert exp.lower_bound_integral(c) == pytest.approx(
-            riemann_integral(c, points=200_000), abs=1e-6)
+            riemann_integral(c, points=200_000), abs=1e-11)
 
 
 def test_maximize_lower_bound():
@@ -166,6 +166,11 @@ def test_totient_values():
     x = 60
     values = {naive_phi(n) for n in range(1, 2 * x * x + 1)}
     assert exp.totient_values(x) == sum(1 for v in values if 1 <= v <= x)
+    from divilab.sieve import primes_upto
+    from divilab.tables import totient_segment
+
+    with pytest.raises(DomainError):  # a segment starting below 1 is a domain error
+        totient_segment(0, 10, primes_upto(4))
 
 
 def test_totient_ratio_trend():

@@ -18,9 +18,9 @@ from divilab import (
     s_coeffs,
     unimodal_check,
 )
-from divilab.locallaws import lambda_sweep, s_coeffs_exact
+from divilab.locallaws import lambda_sweep
 
-from oracles import naive_lambda_kd, simpson_normal_cdf
+from oracles import naive_lambda_kd, s_coeffs_exact, simpson_normal_cdf
 
 
 def test_s_coeffs_examples():

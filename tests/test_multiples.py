@@ -53,6 +53,10 @@ def test_multiples_count_examples():
     assert multiples_count(A, 35) == 18
     with pytest.raises(DomainError):  # a scan size below 1 is a domain error
         multiples_count(GeneratorSet([2]), 0)
+    from divilab.tables import multiples_mask
+
+    with pytest.raises(DomainError):  # so is a generator below 1
+        multiples_mask([3, 0], 10)
 
 
 def test_reduction_preserves_counts():
