@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .sieve import SpfSieve, primes_upto
+from .sieve import SpfSieve
+from .tables import _check_cap, _spf_walk
 
 DEFAULT_DIVISOR_CAP = 10**6
 
@@ -197,17 +198,12 @@ def basic_fns(f: Factored) -> ArithValues:
 
 def psi1_count(x: int, y: int) -> int:
     """Number of squarefree n <= x with largest prime factor <= y (P^+(1)=1 counts)."""
-    if x < 1:
-        raise DomainError(f"need x >= 1, got {x}")
+    _check_cap(x)
     if y < 2:
         raise DomainError(f"need y >= 2, got {y}")
-    ok = np.ones(x + 1, dtype=bool)
-    ok[0] = False
-    for p in primes_upto(math.isqrt(x)):
-        p2 = int(p) * int(p)
-        ok[p2::p2] = False
-    # kill anything with a prime factor above y
-    pr = primes_upto(x)
-    for p in pr[pr > y]:
-        ok[int(p):: int(p)] = False
+    ok = np.zeros(x + 1, dtype=bool)
+    ok[1] = True
+    # n = p*m is squarefree and y-smooth iff m is and p = spf[n] is new and <= y
+    for lo, hi, p, m, spf in _spf_walk(x):
+        ok[lo:hi] = ok[m] & (spf[m] != p) & (p <= y)
     return int(np.count_nonzero(ok))

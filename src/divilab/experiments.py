@@ -19,6 +19,7 @@ from .locallaws import gaussian_cdf
 from .multiples import MAX_EXACT_GENERATORS, GeneratorSet, alpha0, divisor_hit_densities
 from .sieve import SpfSieve, primes_upto
 from .tables import (
+    _check_cap,
     e_set_mask,
     gpf_table,
     interval_divisor_counts,
@@ -27,7 +28,6 @@ from .tables import (
     omega_table,
     tau_table,
     tauplus_table,
-    totient_segment,
 )
 
 LN2 = math.log(2.0)
@@ -372,23 +372,21 @@ def omega_median_count(x: int) -> OmegaMedianResult:
     return OmegaMedianResult(x, count, gap, 0.36798, A - 2.0 / 3.0 - s)
 
 
-def totient_values(x: int, cap: int = 3 * 10**8) -> int:
-    """Exact count of v <= x arising as a totient value.  phi(n) > sqrt(n/2)
-    bounds the search at n <= 2x^2."""
-    if x < 1:
-        raise DomainError(f"need x >= 1, got {x}")
-    bound = 2 * x * x
-    if bound > cap:
-        raise ResourceError(f"totient enumeration bound {bound} exceeds cap {cap}")
+def totient_values(x: int) -> int:
+    """Exact count of v <= x arising as a totient value, by a set DP over
+    the primes p <= x + 1: phi(n) is a product of (p-1)p^(e-1) over distinct
+    primes, and every partial product of a value <= x is itself <= x."""
+    _check_cap(x)
     hit = np.zeros(x + 1, dtype=bool)
-    small = primes_upto(math.isqrt(bound) + 1)
-    seg = 1 << 20
-    for lo in range(1, bound + 1, seg):
-        hi = min(lo + seg, bound + 1)
-        phi = totient_segment(lo, hi, small)
-        vals = phi[phi <= x]
-        hit[vals] = True
-    return int(np.count_nonzero(hit[1:]))
+    hit[1] = True
+    for p in primes_upto(x + 1):
+        p = int(p)
+        old = np.flatnonzero(hit[:x // (p - 1) + 1])  # the state before p
+        f = p - 1
+        while f <= x:
+            hit[old[old <= x // f] * f] = True
+            f *= p
+    return int(np.count_nonzero(hit))
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +488,7 @@ def me_fractions(xs: list[int]) -> list[float]:
     """Fraction of n <= x lying in M(E) for each x (one shared scan)."""
     xmax = max(xs)
     mask = multiples_mask(np.flatnonzero(e_set_mask(xmax)), xmax)
-    cum = np.cumsum(mask[1:])
-    return [float(cum[x - 1]) / x for x in xs]
+    return [np.count_nonzero(mask[1:x + 1]) / x for x in xs]
 
 
 def exceptional_count(x: int) -> int:

@@ -306,7 +306,9 @@ def sieve_density(A: GeneratorSet, x: int) -> DensityEstimate:
 
 
 def log_density(A: GeneratorSet, x: int) -> DensityEstimate:
-    """(sum_{n<=x, n in M(A)} 1/n) / ln x."""
+    """(sum_{n<=x, n in M(A)} 1/n) / ln x, for x >= 2."""
+    if x < 2:
+        raise DomainError(f"log density needs x >= 2, got {x}")
     _check_cap(x)
     if len(A) == 0:
         return DensityEstimate(0.0, 0.0, 0.0, "logarithmic", params={"x": x})

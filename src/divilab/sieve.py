@@ -8,6 +8,7 @@ and safe for concurrent reads.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -130,11 +131,19 @@ class SpfSieve:
     # u32 when limit < 2**32 else u64.
 
     def save(self, path: str | Path) -> None:
+        """Write the cache atomically: a temporary file in the same directory
+        replaces `path` only once it is complete."""
         path = Path(path)
         kind = "<u4" if self.limit < 1 << 32 else "<u8"
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<4sIQ", _CACHE_MAGIC, _CACHE_VERSION, self.limit))
-            fh.write(self.spf.astype(kind, copy=False).tobytes())
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(struct.pack("<4sIQ", _CACHE_MAGIC, _CACHE_VERSION, self.limit))
+                fh.write(self.spf.astype(kind, copy=False).tobytes())
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, path: str | Path) -> "SpfSieve":

@@ -1,8 +1,14 @@
 """Vectorized whole-range tables for counting scans up to ~10^8.
 
-The divisor-indexed builders use the hyperbola split: divisors d <= sqrt(x)
-are marked with one strided slice per d, and larger divisors are covered by
-one strided slice per cofactor m = n/d <= sqrt(x), so a full tau table costs
+Prime-factor tables (omega, Omega, P^+, and the squarefree smooth count in
+`arith.psi1_count`) are derived from the SPF sieve by one recurrence:
+`_spf_walk` visits n = 2..x in ascending chunks below 2*lo, so the cofactor
+m = n/spf[n] < lo of every n in a chunk is already finished, and each table
+fills a whole chunk with one numpy expression in t[m], spf[n] and spf[m].
+
+Divisor-indexed tables use the hyperbola split: divisors d <= sqrt(x) are
+marked with one strided slice per d, and larger divisors are covered by one
+strided slice per cofactor m = n/d <= sqrt(x), so a full tau table costs
 O(sqrt(x)) numpy operations over O(x log x) cells.
 
 Scans partition cleanly over segments with associative merges; results are
@@ -17,9 +23,10 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .sieve import primes_upto
+from .sieve import SpfSieve
 
 DEFAULT_SCAN_CAP = 200_000_000
+_WALK_CHUNK = 1 << 20  # bounds the per-chunk temporaries
 
 
 def _check_cap(x: int, cap: int = DEFAULT_SCAN_CAP) -> None:
@@ -27,6 +34,19 @@ def _check_cap(x: int, cap: int = DEFAULT_SCAN_CAP) -> None:
         raise DomainError(f"need x >= 1, got {x}")
     if x > cap:
         raise ResourceError(f"scan size {x} exceeds cap {cap}")
+
+
+def _spf_walk(x: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield (lo, hi, p, m, spf) over n = 2..x in ascending chunks [lo, hi),
+    with p = spf[lo:hi] and m = n // p.  Since hi <= 2*lo, m <= n/2 < lo: a
+    table filled as t[lo:hi] = f(t[m], p, spf[m]) reads only finished entries."""
+    spf = SpfSieve.build(max(x, 2)).spf
+    lo = 2
+    while lo <= x:
+        hi = min(2 * lo, lo + _WALK_CHUNK, x + 1)
+        p = spf[lo:hi]
+        yield lo, hi, p, np.arange(lo, hi, dtype=p.dtype) // p, spf
+        lo = hi
 
 
 def tau_table(x: int) -> np.ndarray:
@@ -84,15 +104,8 @@ def gpf_table(x: int) -> np.ndarray:
     """Largest prime factor of 0..x (gpf[1] = 1 by convention)."""
     _check_cap(x)
     gpf = np.ones(x + 1, dtype=np.int64 if x >= 1 << 31 else np.int32)
-    pr = primes_upto(x)
-    D = max(math.isqrt(x), 2)
-    for p in pr[pr <= D]:
-        gpf[p::p] = p
-    large = pr[pr > D]
-    # a prime p > sqrt(x) is automatically the largest prime factor of m*p
-    for m in range(1, x // (D + 1) + 1):
-        sel = large[large <= x // m]
-        gpf[m * sel] = sel
+    for lo, hi, p, m, _ in _spf_walk(x):
+        gpf[lo:hi] = np.maximum(gpf[m], p)
     return gpf
 
 
@@ -100,49 +113,9 @@ def omega_table(x: int, with_multiplicity: bool = False) -> np.ndarray:
     """omega(n) (distinct primes) or Omega(n) (with multiplicity) for 0..x."""
     _check_cap(x)
     om = np.zeros(x + 1, dtype=np.uint8)
-    pr = primes_upto(x)
-    D = max(math.isqrt(x), 2)
-    for p in pr[pr <= D]:
-        p = int(p)
-        om[p::p] += 1
-        if with_multiplicity:
-            pe = p * p
-            while pe <= x:
-                om[pe::pe] += 1
-                pe *= p
-    large = pr[pr > D]
-    for m in range(1, x // (D + 1) + 1):
-        sel = large[large <= x // m]
-        om[m * sel] += 1
+    for lo, hi, p, m, spf in _spf_walk(x):
+        om[lo:hi] = om[m] + 1 if with_multiplicity else om[m] + (spf[m] != p)
     return om
-
-
-def totient_segment(lo: int, hi: int, small_primes: np.ndarray) -> np.ndarray:
-    """Euler phi for the segment [lo, hi); small_primes must cover sqrt(hi)."""
-    if lo < 1:
-        raise DomainError(f"totient segment needs lo >= 1, got {lo}")
-    rem = np.arange(lo, hi, dtype=np.int64)
-    phi = np.ones(hi - lo, dtype=np.int64)
-    for p in small_primes:
-        p = int(p)
-        if p * p >= hi:
-            break
-        start = (-lo) % p
-        idx = np.arange(start, hi - lo, p, dtype=np.int64)
-        if len(idx) == 0:
-            continue
-        r = rem[idx]
-        f = np.ones(len(idx), dtype=np.int64)
-        div = r % p == 0
-        while np.any(div):
-            r[div] //= p
-            f[div] *= p
-            div = r % p == 0
-        rem[idx] = r
-        phi[idx] *= (f // p) * (p - 1)
-    left = rem > 1
-    phi[left] *= rem[left] - 1
-    return phi
 
 
 def e_set_mask(x: int) -> np.ndarray:

@@ -1,10 +1,13 @@
 """Naive, independent reimplementations used as test oracles.
 
 Nothing here imports from divilab: trial division, nested-loop window scans,
-and midpoint quadrature only.  Slow on purpose.
+midpoint quadrature, and the per-prime strided numpy sieves that the SPF
+recurrence replaced.  Slow on purpose.
 """
 
 import math
+
+import numpy as np
 
 
 def trial_divisors(n):
@@ -267,3 +270,65 @@ def naive_erdos_kac_ks(x):
         cum += counts[k]
         ks = max(ks, abs(cum / total - phi))
     return ks
+
+
+# -- per-prime strided sieves: one numpy slice per prime (or prime power) --
+
+def _primes_upto(n):
+    if n < 2:
+        return np.empty(0, dtype=np.int64)
+    mask = np.ones(n + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if mask[p]:
+            mask[p * p::p] = False
+    return np.flatnonzero(mask)
+
+
+def sieve_omega_table(x, with_multiplicity=False):
+    """omega or Omega on 0..x: +1 on every multiple of each prime p (and of
+    each p^e for Omega); primes above sqrt(x) go through their cofactors."""
+    om = np.zeros(x + 1, dtype=np.uint8)
+    pr = _primes_upto(x)
+    D = max(math.isqrt(x), 2)
+    for p in pr[pr <= D]:
+        p = int(p)
+        om[p::p] += 1
+        if with_multiplicity:
+            pe = p * p
+            while pe <= x:
+                om[pe::pe] += 1
+                pe *= p
+    large = pr[pr > D]
+    for m in range(1, x // (D + 1) + 1):
+        sel = large[large <= x // m]
+        om[m * sel] += 1
+    return om
+
+
+def sieve_gpf_table(x):
+    """Largest prime factor on 0..x (1 at 0 and 1): ascending primes overwrite
+    their multiples, so the last write is the largest."""
+    gpf = np.ones(x + 1, dtype=np.int64 if x >= 1 << 31 else np.int32)
+    pr = _primes_upto(x)
+    D = max(math.isqrt(x), 2)
+    for p in pr[pr <= D]:
+        gpf[p::p] = p
+    large = pr[pr > D]
+    for m in range(1, x // (D + 1) + 1):
+        sel = large[large <= x // m]
+        gpf[m * sel] = sel
+    return gpf
+
+
+def sieve_psi1_mask(x, y):
+    """Mask on 0..x of the squarefree n whose prime factors are all <= y."""
+    ok = np.ones(x + 1, dtype=bool)
+    ok[0] = False
+    for p in _primes_upto(math.isqrt(x)):
+        p2 = int(p) ** 2
+        ok[p2::p2] = False
+    pr = _primes_upto(x)
+    for p in pr[pr > y]:
+        ok[int(p)::int(p)] = False
+    return ok

@@ -163,6 +163,8 @@ def test_domain_error_exit(capsys):
     assert code == 2
     code, _ = run(capsys, "exp", "--preset", "dtheta", "--theta", "nan")
     assert code == 2
+    code, _ = run(capsys, "multiples", "--interval", "4:8", "--density", "log:1")
+    assert code == 2
 
 
 def test_resource_error_exit(capsys):

@@ -162,15 +162,13 @@ def test_omega_median_count():
 def test_totient_values():
     assert exp.totient_values(1) == 1
     assert exp.totient_values(10) == 6
-    # oracle: enumerate phi(n) for n <= 2x^2 directly
-    x = 60
-    values = {naive_phi(n) for n in range(1, 2 * x * x + 1)}
-    assert exp.totient_values(x) == sum(1 for v in values if 1 <= v <= x)
-    from divilab.sieve import primes_upto
-    from divilab.tables import totient_segment
-
-    with pytest.raises(DomainError):  # a segment starting below 1 is a domain error
-        totient_segment(0, 10, primes_upto(4))
+    # oracle: phi(n) > sqrt(n/2), so enumerating n <= 2X^2 finds every value <= X
+    X = 100
+    values = {naive_phi(n) for n in range(1, 2 * X * X + 1)}
+    for x in range(1, X + 1):
+        assert exp.totient_values(x) == sum(1 for v in values if v <= x)
+    with pytest.raises(DomainError):
+        exp.totient_values(0)
 
 
 def test_totient_ratio_trend():

@@ -107,6 +107,8 @@ def test_sieve_density_matches_exact():
 def test_log_density():
     assert abs(log_density(GeneratorSet([2]), 10**6).point - 0.5) < 0.01
     assert log_density(GeneratorSet(), 100).point == 0.0
+    with pytest.raises(DomainError):  # ln 1 = 0: the density needs x >= 2
+        log_density(GeneratorSet(interval=(4, 8)), 1)
 
 
 @pytest.mark.slow

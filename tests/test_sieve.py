@@ -62,6 +62,39 @@ def test_cache_roundtrip(tmp_path):
     assert raw[:4] == b"DVL1"
 
 
+def test_cache_save_is_atomic(tmp_path, monkeypatch):
+    import builtins
+
+    import divilab.sieve as sieve_mod
+
+    path = tmp_path / "cache.dvl"
+    build_sieve(1000).save(path)
+
+    class DiskFull:  # writes the header, then half the entries, then fails
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            if len(data) > 16:
+                self.fh.write(data[: len(data) // 2])
+                raise OSError("no space left on device")
+            return self.fh.write(data)
+
+    monkeypatch.setattr(sieve_mod, "open", lambda f, mode: DiskFull(builtins.open(f, mode)),
+                        raising=False)
+    with pytest.raises(OSError):
+        build_sieve(5000).save(path)
+    monkeypatch.undo()
+    assert SpfSieve.load(path).limit == 1000  # the old cache survives whole
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.dvl"]
+
+
 def test_cache_bad_magic(tmp_path):
     path = tmp_path / "bad.dvl"
     path.write_bytes(b"NOPE" + b"\x00" * 20)
