@@ -12,6 +12,7 @@ from .arith import (
     basic_fns,
     divisors,
     factor,
+    factor_window,
     psi1_count,
 )
 from .density import DensityEstimate

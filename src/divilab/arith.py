@@ -7,12 +7,13 @@ so concurrent evaluation over disjoint integers is safe.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .sieve import SpfSieve
+from .sieve import DEFAULT_LIMIT_CAP, SpfSieve, segments
 from .tables import _check_cap, _spf_walk
 
 DEFAULT_DIVISOR_CAP = 10**6
@@ -94,6 +95,37 @@ def factor(n: int, sieve: SpfSieve) -> Factored:
     if not 1 <= n <= sieve.limit:
         raise DomainError(f"n={n} outside sieve range 1..{sieve.limit}")
     return Factored(n, tuple(sieve.factor_pairs(n)))
+
+
+def factor_window(lo: int, hi: int) -> Iterator[Factored]:
+    """Factor every n in [lo, hi], in ascending order, without an SPF table.
+
+    Each segment of the window divides its sieving primes (p <= sqrt(hi))
+    out of their multiples; a cofactor > 1 left over is a single prime.
+    Time O(sqrt(hi) + (hi - lo) log log hi), memory O(SEGMENT).
+    """
+    if not 1 <= lo <= hi:
+        raise DomainError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
+    if hi > DEFAULT_LIMIT_CAP:
+        raise ResourceError(f"sieve limit {hi} exceeds cap {DEFAULT_LIMIT_CAP}")
+    for a, b, ps, starts in segments(lo, hi):
+        rest = np.arange(a, b, dtype=np.int64)
+        pairs: list[list[tuple[int, int]]] = [[] for _ in range(b - a)]
+        for p, j in zip(ps.tolist(), starts.tolist()):
+            v = rest[j::p]  # a view: dividing v divides rest
+            v //= p
+            e = np.ones(len(v), dtype=np.int64)
+            idx = np.flatnonzero(v % p == 0)
+            while len(idx):
+                v[idx] //= p
+                e[idx] += 1
+                idx = idx[v[idx] % p == 0]
+            for i, k in zip(range(j, b - a, p), e.tolist()):
+                pairs[i].append((p, k))
+        for n, r, fs in zip(range(a, b), rest.tolist(), pairs):
+            if r > 1:
+                fs.append((r, 1))
+            yield Factored(n, tuple(fs))
 
 
 def factor_int(n: int) -> Factored:

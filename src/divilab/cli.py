@@ -9,6 +9,7 @@ except for the wall_time field.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import shlex
@@ -19,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .arith import INFINITE, divisors, factor
+from .arith import INFINITE, divisors, factor_window
 from .divgeom import OscWeight, RatioWeight, delta, delta_osc, e_r, f_theta, g_sum, tau_plus
 from .errors import DomainError, ResourceError, UsageError
 from .locallaws import Lambda_kd, lambda_row, median_prime_detail, lambda_mode
@@ -204,17 +205,6 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _sieve_for(limit: int, cache: str | None) -> SpfSieve:
-    if cache and Path(cache).exists():
-        sv = SpfSieve.load(cache)
-        if sv.limit >= limit:
-            return sv
-    sv = build_sieve(limit)
-    if cache and not Path(cache).exists():
-        sv.save(cache)
-    return sv
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -239,10 +229,16 @@ def _csv(rows: list[tuple], header: tuple[str, ...]) -> str:
 # subcommand handlers: return (record, optional csv (header, rows))
 
 def _run_sieve(args, cfg):
-    sv = _sieve_for(args.limit, cfg.cache_path)  # writes the cache only when a path is set
+    cache = cfg.cache_path
+    sv = SpfSieve.load(cache) if cache and Path(cache).exists() else None
+    if sv is None or sv.limit < args.limit:
+        sv = build_sieve(args.limit)
+        if cache:
+            sv.save(cache)  # atomic: replaces a missing or too-small cache
+    # so with a cache path set, the file now covers the limit
     rec = ResultRecord("sieve", {"limit": args.limit},
                        {"limit": sv.limit, "primes": int(len(sv.primes())),
-                        "cached": bool(cfg.cache_path), "tag": "exact"})
+                        "cached": bool(cache), "tag": "exact"})
     return rec, None
 
 
@@ -266,12 +262,12 @@ def _run_fn(args, cfg):
         lo = hi = args.n
     if lo < 1 or hi < lo:
         raise UsageError(f"bad range {lo}:{hi}")
-    sv = _sieve_for(max(hi, 2), cfg.cache_path)
     mu_w = OscWeight.moebius()
     rows = []
     skipped = 0
-    for n in range(lo, hi + 1):
-        spec = divisors(factor(n, sv))
+    for f in factor_window(lo, hi):
+        n = f.n
+        spec = divisors(f)
         try:
             if kind == "delta":
                 v = delta(spec)
@@ -456,8 +452,8 @@ def _run_exp(args, cfg):
     if preset == "dtheta":
         theta = _parse_theta(args.theta)
         n = args.n or 12
-        sv = _sieve_for(n, cfg.cache_path)
-        val, d_at = exp.dtheta_min(factor(n, sv), theta)
+        f = next(factor_window(n, n))
+        val, d_at = exp.dtheta_min(f, theta)
         vals = {"n": n, "min": val, "argmin_d": d_at, "tag": "exact"}
         if isinstance(theta, Fraction):
             vals["growth_exponents"] = exp.convergent_growth_report(theta, 12)
@@ -509,34 +505,41 @@ def dispatch(argv: list[str]) -> int:
         return 3
 
 
+# the error classes a manifest records; each maps to its own exit code
+_ERRORS = (UsageError, DomainError, ResourceError)
+
+
 def _run_manifest(args) -> int:
+    """Run each manifest line in order, writing and flushing its record (or an
+    error record naming the error class) as soon as the line finishes."""
     path = Path(args.path)
     if not path.exists():
         raise UsageError(f"manifest {path} not found")
+    lines = path.read_text().splitlines()
     parser = _build_parser()
     failures = 0
-    outputs = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as sink:
+        for lineno, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
             try:
-                argv = shlex.split(line)
-            except ValueError as err:  # unbalanced quotes
-                raise UsageError(f"bad manifest line: {err}") from None
-            sub = parser.parse_args(argv)
-            if sub.cmd is None or sub.cmd == "manifest":
-                raise UsageError("manifest lines must be operation subcommands")
-            sub_cfg = _make_config(sub, _load_config(getattr(sub, "config", None)))
-            outputs.append(_execute(sub, sub_cfg).rstrip("\n"))
-        except (UsageError, DomainError, ResourceError) as err:
-            failures += 1
-            outputs.append(json.dumps(
-                {"command": "error", "line": lineno, "message": str(err)},
-                sort_keys=True))
-    text = "\n".join(outputs) + ("\n" if outputs else "")
-    _emit(text, args.out)
+                try:
+                    argv = shlex.split(line)
+                except ValueError as err:  # unbalanced quotes
+                    raise UsageError(f"bad manifest line: {err}") from None
+                sub = parser.parse_args(argv)
+                if sub.cmd is None or sub.cmd == "manifest":
+                    raise UsageError("manifest lines must be operation subcommands")
+                sub_cfg = _make_config(sub, _load_config(getattr(sub, "config", None)))
+                text = _execute(sub, sub_cfg).rstrip("\n")
+            except _ERRORS as err:
+                failures += 1
+                kind = next(c.__name__ for c in _ERRORS if isinstance(err, c))
+                text = json.dumps({"command": "error", "error": kind,
+                                   "line": lineno, "message": str(err)}, sort_keys=True)
+            sink.write(text + "\n")
+            sink.flush()
     return 1 if failures else 0
 
 

@@ -1,8 +1,8 @@
 """Naive, independent reimplementations used as test oracles.
 
 Nothing here imports from divilab: trial division, nested-loop window scans,
-midpoint quadrature, and the per-prime strided numpy sieves that the SPF
-recurrence replaced.  Slow on purpose.
+midpoint quadrature, the per-prime strided numpy sieves that the SPF
+recurrence replaced, and the unsegmented SPF sieve.  Slow on purpose.
 """
 
 import math
@@ -332,3 +332,17 @@ def sieve_psi1_mask(x, y):
     for p in pr[pr > y]:
         ok[int(p)::int(p)] = False
     return ok
+
+
+def spf_table(limit):
+    """Smallest prime factor on 0..limit (0 at 0 and 1), the unsegmented
+    sieve: each prime i <= sqrt(limit) claims the multiples from i*i that no
+    smaller prime has claimed; what stays 0 from 2 on is prime."""
+    spf = np.zeros(limit + 1, dtype=np.uint32 if limit < 1 << 32 else np.uint64)
+    for i in range(2, math.isqrt(limit) + 1):
+        if spf[i] == 0:
+            sl = spf[i * i::i]
+            sl[sl == 0] = i
+    rest = np.flatnonzero(spf[2:] == 0) + 2
+    spf[rest] = rest
+    return spf

@@ -6,8 +6,12 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 import divilab
+from divilab import SpfSieve, build_sieve
 from divilab.cli import dispatch
+from divilab.sieve import DEFAULT_LIMIT_CAP
 
 
 def run(capsys, *argv):
@@ -119,6 +123,9 @@ def test_exp_dtheta(capsys):
     rec = json.loads(out)
     assert rec["values"]["argmin_d"] == 3
     assert rec["values"]["min"] == pytest.approx(0.145898, abs=1e-5)
+    code, out = run(capsys, "exp", "--preset", "dtheta", "--theta", "1/3", "--n", "1")
+    assert code == 0
+    assert json.loads(out)["values"]["argmin_d"] == 1  # the only divisor of 1
 
 
 def test_exp_preset_smoke(capsys):
@@ -178,10 +185,88 @@ def test_sieve_cache_env(tmp_path, monkeypatch, capsys):
     code, out = run(capsys, "sieve", "--limit", "5000")
     assert code == 0
     assert cache.exists()
-    # reuse: fn against the cached sieve
+    # fn factors its own window and leaves the cache as `sieve` wrote it
     code, out = run(capsys, "fn", "--n", "12", "--what", "tauplus")
     assert code == 0
     assert out.strip().splitlines()[1] == "12,5"
+
+
+def test_sieve_replaces_small_cache(tmp_path, capsys):
+    cache = tmp_path / "spf.dvl"
+    code, _ = run(capsys, "sieve", "--limit", "1000", "--sieve-cache", str(cache))
+    assert code == 0 and SpfSieve.load(cache).limit == 1000
+    code, out = run(capsys, "sieve", "--limit", "5000", "--sieve-cache", str(cache))
+    assert code == 0
+    assert json.loads(out)["values"]["cached"] is True
+    assert np.array_equal(SpfSieve.load(cache).spf, build_sieve(5000).spf)
+    # a cache that covers the limit is read, not rewritten
+    stamp = cache.stat().st_mtime_ns
+    code, out = run(capsys, "sieve", "--limit", "3000", "--sieve-cache", str(cache))
+    assert code == 0 and json.loads(out)["values"]["limit"] == 5000
+    assert cache.stat().st_mtime_ns == stamp
+
+
+WHATS = ("delta", "delta-mu", "tauplus", "g", "er:1", "er:3", "ftheta:0.5")
+# CSV values of `fn --n N --what W` for W in WHATS, as the SPF-table CLI
+# printed them; None marks exit 2 (tau(1) is too small for E_r and F_theta).
+FN_VALUES = {
+    1: ("1", "1", "1", "0", None, None, None),
+    12: ("3", "2", "5", "3.08333333333", "0.287682072452", "1.09861228867", "0.5"),
+    720720: ("39", "7", "21", "226.503557554", "0.00696866931609", "0.0492710490068",
+             "0.9875"),
+    19500001: ("1", "1", "4", "0.0192787169601", "4.67282883446", "16.7859250748", "0"),
+    39500001: ("4", "2", "23", "18.7553832973", "0.0546719990329", "0.815036998169",
+               "0.53125"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(FN_VALUES))
+def test_fn_outputs_fixed(n, capsys):
+    for what, value in zip(WHATS, FN_VALUES[n]):
+        code, out = run(capsys, "fn", "--n", str(n), "--what", what)
+        if value is None:
+            assert (code, out) == (2, "")
+            continue
+        assert (code, out) == (0, f"n,value\n{n},{value}\n")
+        code, out = run(capsys, "fn", "--n", str(n), "--what", what, "--format", "json")
+        assert code == 0
+        assert strip_time(out) == {
+            "artifact_version": divilab.__version__, "command": "fn",
+            "params": {"range": [n, n], "what": what},
+            "values": {"rows": 1, "skipped": 0, "tag": "exact", "value": float(value)}}
+
+
+def test_fn_above_cap_exits_3(capsys, monkeypatch):
+    # refused before any window is walked or sieve built
+    monkeypatch.setattr("divilab.arith.segments", None)
+    monkeypatch.setattr(SpfSieve, "build", None)
+    for n in (DEFAULT_LIMIT_CAP + 1, 2**31 - 1):
+        code, out = run(capsys, "fn", "--n", str(n), "--what", "delta")
+        assert (code, out) == (3, "")
+    code, _ = run(capsys, "exp", "--preset", "dtheta", "--n", str(2**31 - 1))
+    assert code == 3
+
+
+def test_queries_touch_no_sieve(tmp_path, monkeypatch, capsys):
+    """fn and dtheta factor their own window: no SPF table is built or
+    loaded, and the cache file keeps its bytes and mtime."""
+    cache = tmp_path / "spf.dvl"
+    build_sieve(1000).save(cache)
+    before = (cache.read_bytes(), cache.stat().st_mtime_ns)
+    monkeypatch.setenv("DIVILAB_CACHE", str(cache))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an SPF table was built or loaded")
+
+    monkeypatch.setattr(SpfSieve, "build", refuse)
+    monkeypatch.setattr(SpfSieve, "load", refuse)
+    code, out = run(capsys, "fn", "--n", "39500001", "--what", "tauplus")
+    assert (code, out) == (0, "n,value\n39500001,23\n")
+    code, out = run(capsys, "fn", "--range", "1990:2010", "--what", "delta")
+    assert code == 0 and len(out.splitlines()) == 22
+    code, out = run(capsys, "exp", "--preset", "dtheta", "--n", "720720")
+    assert code == 0 and json.loads(out)["values"]["n"] == 720720
+    assert (cache.read_bytes(), cache.stat().st_mtime_ns) == before
 
 
 def test_output_file(tmp_path, capsys):
@@ -229,6 +314,36 @@ def test_manifest_partial_failure(tmp_path, capsys):
     assert code == 1
     lines = out.strip().splitlines()
     assert json.loads(lines[1])["command"] == "error"
+    assert json.loads(lines[1])["error"] == "DomainError"
+
+
+def test_manifest_streams_records(tmp_path, monkeypatch, capsys):
+    from divilab import cli
+
+    mf = tmp_path / "run.manifest"
+    mf.write_text("exp --preset median-primes --k 2\n"
+                  "exp --preset constants\n"
+                  "sieve --limit 10000000000000\n"
+                  "fn --n 12\n")
+    out_path = tmp_path / "records.jsonl"
+    execute = cli._execute
+    seen = []
+
+    def watched(args, cfg):
+        seen.append(out_path.read_text())
+        return execute(args, cfg)
+
+    monkeypatch.setattr(cli, "_execute", watched)
+    code, out = run(capsys, "manifest", str(mf), "--out", str(out_path))
+    assert (code, out) == (1, "")
+    assert seen[0] == ""
+    assert json.loads(seen[1])["values"]["p2_star"] == 37  # line 1 was out before line 2 ran
+    lines = out_path.read_text().splitlines()
+    assert [json.loads(line).get("error") for line in lines] == [
+        None, None, "ResourceError", "UsageError"]
+    # success records are the records the subcommands print on their own
+    code, alone = run(capsys, "exp", "--preset", "median-primes", "--k", "2")
+    assert strip_time(lines[0]) == strip_time(alone)
 
 
 def test_config_file(tmp_path, capsys):

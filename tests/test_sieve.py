@@ -1,10 +1,20 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from divilab import DomainError, ResourceError, SpfSieve, build_sieve, is_prime_u64
-from divilab.sieve import primes_upto
+import divilab.sieve as sieve_mod
+from divilab import DomainError, ResourceError, SpfSieve, build_sieve, factor, factor_window, is_prime_u64
+from divilab.sieve import SEGMENT, primes_upto
 
-from oracles import trial_factor
+from oracles import spf_table, trial_factor
+
+WINDOW_MAX = 2 * 10**6
 
 
 def test_spf_small_values():
@@ -49,6 +59,49 @@ def test_limit_errors():
         build_sieve(1)
     with pytest.raises(ResourceError):
         build_sieve(10**13)
+
+
+_HEAP_PROBE = """
+import os, sys
+import numpy as np
+from divilab import sieve
+
+if sys.argv[1] == "off":
+    sieve._malloc_trim = None
+
+def rss_mb():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+a = np.ones(3 << 20)
+del a  # a freed 24 MB mapping raises glibc's mmap and trim thresholds
+base = rss_mb()
+b = [np.ones(1 << 20) for _ in range(4)]
+del b  # 32 MB freed onto the heap, under the trim threshold
+held = rss_mb() - base
+sieve.SpfSieve.build(1000)
+print(held, rss_mb() - base)
+"""
+
+
+def test_build_returns_freed_heap():
+    """A build starts from what is live, not from what earlier calls freed."""
+    if sieve_mod._malloc_trim is None or not Path("/proc/self/statm").exists():
+        pytest.skip("needs glibc's malloc_trim and /proc")
+    env = dict(os.environ)
+    src = str(Path(sieve_mod.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def probe(mode):
+        out = subprocess.run([sys.executable, "-c", _HEAP_PROBE, mode], env=env,
+                             capture_output=True, text=True, check=True)
+        return [float(v) for v in out.stdout.split()]
+
+    held, kept_without = probe("off")
+    if held < 16 or kept_without < 16:
+        pytest.skip("this C library hands freed heap back by itself")
+    _, kept = probe("on")
+    assert kept < 8
 
 
 def test_cache_roundtrip(tmp_path):
@@ -124,3 +177,57 @@ def test_build_1e8_prime_entry():
     assert int(sv.spf[99999989]) == 99999989
     assert is_prime_u64(99999989)
     assert int(sv.spf[99999988]) == 2
+
+
+# -- the SPF table against the unsegmented oracle; factored windows ---------
+
+def _same(got, want):
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("limit", [2, 3, 4, 5, 1000, SEGMENT - 1, SEGMENT, SEGMENT + 1,
+                                   2 * SEGMENT + 7, 10**6 + 7])
+def test_build_matches_unsegmented_oracle(limit):
+    _same(SpfSieve.build(limit).spf, spf_table(limit))
+
+
+@pytest.fixture(scope="module")
+def oracle_sieve():
+    return SpfSieve(WINDOW_MAX, spf_table(WINDOW_MAX))
+
+
+@pytest.mark.parametrize("segment", [SEGMENT, 97, 1000])
+@pytest.mark.parametrize("lo,hi", [(1, 20000), (999000, 10**6), (1999000, 2 * 10**6)])
+def test_factor_window_matches_spf(lo, hi, segment, oracle_sieve, monkeypatch):
+    monkeypatch.setattr(sieve_mod, "SEGMENT", segment)
+    got = list(factor_window(lo, hi))
+    assert got == [factor(n, oracle_sieve) for n in range(lo, hi + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(hi=st.integers(1, WINDOW_MAX), length=st.integers(1, 3000),
+       segment=st.sampled_from([SEGMENT, 64, 1000]))
+@example(hi=1, length=1, segment=SEGMENT)                  # n = 1 alone
+@example(hi=50, length=50, segment=7)                      # 1..50; 49 = 7^2 opens a segment
+@example(hi=999983, length=1, segment=SEGMENT)             # a prime alone
+@example(hi=1985281, length=1, segment=SEGMENT)            # 1409^2, 1409 = isqrt(hi)
+@example(hi=1985281, length=300, segment=64)               # the same, ending a window
+@example(hi=1985282, length=2, segment=SEGMENT)            # 1409^2 just below hi
+@example(hi=WINDOW_MAX, length=1, segment=SEGMENT)
+def test_factor_window_property(hi, length, segment, oracle_sieve):
+    lo = max(1, hi - length + 1)
+    with mock.patch.object(sieve_mod, "SEGMENT", segment):
+        got = list(factor_window(lo, hi))
+    assert got == [factor(n, oracle_sieve) for n in range(lo, hi + 1)]
+
+
+def test_factor_window_errors(monkeypatch):
+    with pytest.raises(DomainError):
+        next(factor_window(0, 5))
+    with pytest.raises(DomainError):
+        next(factor_window(7, 6))
+    # the cap is checked before the window is walked
+    monkeypatch.setattr("divilab.arith.segments", None)
+    with pytest.raises(ResourceError):
+        next(factor_window(sieve_mod.DEFAULT_LIMIT_CAP + 1, sieve_mod.DEFAULT_LIMIT_CAP + 1))
