@@ -451,7 +451,7 @@ def _run_exp(args, cfg):
                             {"count": cnt, "tag": "exact"}), None
     if preset == "dtheta":
         theta = _parse_theta(args.theta)
-        n = args.n or 12
+        n = 12 if args.n is None else args.n
         f = next(factor_window(n, n))
         val, d_at = exp.dtheta_min(f, theta)
         vals = {"n": n, "min": val, "argmin_d": d_at, "tag": "exact"}

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -235,6 +234,32 @@ def divisor_hit_densities(A: GeneratorSet) -> tuple[Fraction, Fraction]:
     return dp.density(elems), one
 
 
+def _bonferroni_sums(gens: Sequence[int], maxsize: int) -> list[Fraction]:
+    """[S_0, ..., S_maxsize], S_k the sum of 1/lcm(S) over the k-subsets S of
+    gens (S_0 = 0), by a DP over subset sizes and lcms.
+
+    counts[k] maps an lcm l to the number of k-subsets with lcm l.  One pass
+    over the generators updates k in descending order, as in a 0/1 knapsack,
+    so no subset takes a generator twice.  The top level is not stored: its
+    terms go straight into an integer numerator over L = lcm(gens), which
+    bounds memory by the level below it.  Each S_k is then one Fraction over
+    L, so one gcd reduction per level instead of one per subset.
+    """
+    L = math.lcm(*gens)
+    counts: list[dict[int, int]] = [{1: 1}] + [{} for _ in range(maxsize - 1)]
+    top = 0
+    for a in gens:
+        for l, c in counts[-1].items():
+            top += c * (L // math.lcm(l, a))
+        for k in range(maxsize - 1, 0, -1):
+            level = counts[k]
+            for l, c in counts[k - 1].items():
+                m = math.lcm(l, a)
+                level[m] = level.get(m, 0) + c
+    sums = [Fraction(sum(c * (L // l) for l, c in level.items()), L) for level in counts[1:]]
+    return [Fraction(0), *sums, Fraction(top, L)]
+
+
 def density_bracket(A: GeneratorSet, method: str = "auto", depth: int = 3) -> DensityEstimate:
     """Natural density of M(A) with a rigorous bracket.
 
@@ -245,8 +270,11 @@ def density_bracket(A: GeneratorSet, method: str = "auto", depth: int = 3) -> De
     bonferroni: alternating truncation of inclusion-exclusion over subset
     lcms; depth is 0-indexed, so depth d sums subset sizes 1..d+1 and an even
     depth ends on a positive term (upper bound), odd on negative (lower
-    bound).  auto: exact_ie up to MAX_EXACT_GENERATORS generators, bonferroni
-    beyond.
+    bound).  The sums S_k run one level further, to the other side of the
+    bracket, and come exact from a DP over subset sizes and lcms
+    (_bonferroni_sums), not a walk over subsets.  A depth whose levels count
+    more than 3 000 000 subsets still raises ResourceError before any work.
+    auto: exact_ie up to MAX_EXACT_GENERATORS generators, bonferroni beyond.
     """
     A = A.reduce()
     n = len(A)
@@ -270,13 +298,7 @@ def density_bracket(A: GeneratorSet, method: str = "auto", depth: int = 3) -> De
                 f"bonferroni depth {depth} over {n} generators needs {terms} "
                 f"subset terms; lower the depth"
             )
-        sums = [Fraction(0)] * (maxsize + 1)
-        for k in range(1, maxsize + 1):
-            for sub in combinations(A.elements, k):
-                lcm = 1
-                for a in sub:
-                    lcm = lcm * a // math.gcd(lcm, a)
-                sums[k] += Fraction(1, lcm)
+        sums = _bonferroni_sums(A.elements, maxsize)
         partial = Fraction(0)
         partials = []
         for k in range(1, maxsize + 1):
@@ -558,9 +580,9 @@ def remainder_Rn(n: int, x: int, x_ref: int = 10**8) -> tuple[float, float, floa
     """Remainder R_n(x) = |M([n, 2n]) ∩ [1, x]| - eps_n * x, with the
     eps_n bracket propagated into (R, R_lower, R_upper).
 
-    eps_n is exact when the interval has at most 24 integers (after
-    primitive reduction it always does for n <= 23); otherwise it is a
-    long-count estimate at min(x_ref, cap)."""
+    eps_n is exact when the interval has at most 24 integers after
+    primitive reduction, which drops 2n and keeps n of them, so for n <= 24;
+    otherwise it is a long-count estimate at min(x_ref, cap)."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     if n == 1:

@@ -12,6 +12,7 @@ p <= sqrt(b - 1) that have a multiple >= p in it, with the offset of the
 first one.  `arith.factor_window` divides those primes out of a window of
 integers, so a query about [lo, hi] costs O(sqrt(hi) + (hi - lo) log log hi)
 time and O(SEGMENT) memory instead of an SPF table of hi entries.
+`SpfSieve.build` walks the same segments over [2, limit], with larger ones.
 """
 
 from __future__ import annotations
@@ -34,6 +35,12 @@ DEFAULT_LIMIT_CAP = 400_000_000
 # prime powers per integer of its current segment: factoring 10^6 integers
 # above 10^7 peaked at 35 MB with 2^14 and 132 MB with 2^18, at equal speed.
 SEGMENT = 1 << 14
+
+# Integers per segment of the SPF table build.  Each segment costs one strided
+# write per sieving prime, so the build wants larger segments than a factored
+# window: at 1e7 it took 0.20-0.25 s with 2^14, 0.09 s with 2^18 and 0.11 s
+# with 2^20 (2-vCPU VM, Python 3.11, numpy 2.4).
+_BUILD_SEGMENT = 1 << 18
 
 # glibc keeps up to 64 MB of freed heap resident (twice its dynamic mmap
 # threshold), so without a trim a table's peak stacks on whatever earlier
@@ -96,8 +103,9 @@ def _trim_heap() -> None:
         _malloc_trim(0)
 
 
-def segments(lo: int, hi: int):
-    """Walk [lo, hi] (lo >= 1) in segments [a, b) of at most SEGMENT integers.
+def segments(lo: int, hi: int, _size: int | None = None):
+    """Walk [lo, hi] (lo >= 1) in segments [a, b) of at most SEGMENT integers
+    (or _size, for the SPF table build).
 
     Yields (a, b, ps, starts): ps holds, ascending, the primes p <= sqrt(b - 1)
     with a multiple m >= max(a, p) below b, and starts[i] = m - a for the
@@ -105,10 +113,11 @@ def segments(lo: int, hi: int):
     prime factors p <= sqrt(b - 1), and what is left of n once they are
     divided out is 1 or a single prime.
     """
+    size = SEGMENT if _size is None else _size
     primes = primes_upto(math.isqrt(hi))
     a = lo
     while a <= hi:
-        b = min((a // SEGMENT + 1) * SEGMENT, hi + 1)
+        b = min((a // size + 1) * size, hi + 1)
         ps = primes[: np.searchsorted(primes, math.isqrt(b - 1), side="right")]
         starts = np.maximum(ps, a + (-a) % ps) - a
         keep = starts < b - a
@@ -138,13 +147,14 @@ class SpfSieve:
         _trim_heap()  # the build's peak is then its own, not earlier calls' garbage
         dtype = np.uint32 if limit < 1 << 32 else np.uint64
         spf = np.zeros(limit + 1, dtype=dtype)
-        for i in range(2, math.isqrt(limit) + 1):
-            if spf[i] == 0:
-                sl = spf[i * i:: i]
-                sl[sl == 0] = i
-        rest = np.flatnonzero(spf[2:] == 0) + 2
-        spf[rest] = rest
-        del rest
+        for a, b, ps, starts in segments(2, limit, _BUILD_SEGMENT):
+            seg = spf[a:b]
+            # largest prime first, so each entry ends up holding its smallest
+            for p, s in zip(ps[::-1].tolist(), starts[::-1].tolist()):
+                seg[s::p] = p
+            rest = np.flatnonzero(seg == 0)
+            seg[rest] = rest + a  # no prime <= sqrt hit these: they are prime
+        del seg, rest
         _trim_heap()  # and the caller's scan starts from the table alone
         return cls(limit, spf)
 

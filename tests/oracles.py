@@ -2,7 +2,8 @@
 
 Nothing here imports from divilab: trial division, nested-loop window scans,
 midpoint quadrature, the per-prime strided numpy sieves that the SPF
-recurrence replaced, and the unsegmented SPF sieve.  Slow on purpose.
+recurrence replaced, the unsegmented SPF sieve and the subset-walk Bonferroni
+bracket.  Slow on purpose.
 """
 
 import math
@@ -145,6 +146,35 @@ def naive_ie_sums(gens):
 
     walk(0, 1, 0)
     return sums
+
+
+def naive_bonferroni(gens, depth):
+    """(point, lower, upper) of the Bonferroni bracket of depth `depth` on the
+    primitive generators gens: one Fraction(1, lcm) per subset of size
+    1..min(depth + 2, n), with each lcm recomputed from scratch.  The last two
+    partial sums of inclusion-exclusion bracket the density; clamp to [0, 1]."""
+    from fractions import Fraction
+    from itertools import combinations
+
+    gens = list(gens)
+    maxsize = min(depth + 2, len(gens))
+    sums = [Fraction(0)] * (maxsize + 1)
+    for k in range(1, maxsize + 1):
+        for sub in combinations(gens, k):
+            lcm = 1
+            for a in sub:
+                lcm = lcm * a // math.gcd(lcm, a)
+            sums[k] += Fraction(1, lcm)
+    partials, partial = [], Fraction(0)
+    for k in range(1, maxsize + 1):
+        partial += sums[k] if k % 2 == 1 else -sums[k]
+        partials.append(partial)
+    if len(partials) == 1:
+        lo, hi = Fraction(0), partials[0]
+    else:
+        lo, hi = sorted(partials[-2:])
+    lo, hi = max(lo, Fraction(0)), min(hi, Fraction(1))
+    return float((lo + hi) / 2), float(lo), float(hi)
 
 
 def naive_multiples_count(gens, x):

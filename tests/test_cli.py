@@ -128,6 +128,14 @@ def test_exp_dtheta(capsys):
     assert json.loads(out)["values"]["argmin_d"] == 1  # the only divisor of 1
 
 
+def test_exp_dtheta_nonpositive_n(capsys):
+    """n = 0 is a domain error like n = -5, not a silent answer for n = 12."""
+    for n in ("0", "-5"):
+        code, out = run(capsys, "exp", "--preset", "dtheta", "--theta", "golden", "--n", n)
+        assert code == 2
+        assert out == ""
+
+
 def test_exp_preset_smoke(capsys):
     code, out = run(capsys, "exp", "--preset", "nu", "--x", "5000")
     assert code == 0

@@ -26,9 +26,21 @@ from divilab import (
     remainder_Rn,
     sequential_density,
 )
-from divilab.multiples import SIGMA0, block_elements, sieve_density
+import divilab.multiples as multiples_mod
+from divilab.multiples import SIGMA0, _bonferroni_sums, block_elements, sieve_density
 
-from oracles import naive_in_ME, naive_is_in_E, naive_multiples_count
+from oracles import (
+    naive_bonferroni,
+    naive_ie_sums,
+    naive_in_ME,
+    naive_is_in_E,
+    naive_multiples_count,
+    trial_divisors,
+    trial_factor,
+)
+
+# divisors of 720720 with five prime factors: an antichain of 46
+ANTICHAIN_POOL = [d for d in trial_divisors(720720) if sum(e for _, e in trial_factor(d)) == 5]
 
 
 def test_generator_set_validation():
@@ -88,14 +100,49 @@ def test_density_bonferroni_brackets_exact():
             assert est.lower - 1e-12 <= float(exact) <= est.upper + 1e-12
 
 
-def test_bonferroni_guardrails():
+def test_bonferroni_guardrails(monkeypatch):
     from divilab import ResourceError
 
     many = GeneratorSet(range(101, 400, 2))
     est = density_bracket(many, method="bonferroni", depth=0)
     assert 0.0 <= est.lower <= est.upper <= 1.0  # trivial bounds clamp
+
+    def no_work(*args):
+        raise AssertionError("the sums ran before the guard")
+
+    monkeypatch.setattr(multiples_mod, "_bonferroni_sums", no_work)
     with pytest.raises(ResourceError):
         density_bracket(many, method="bonferroni", depth=4)
+    with pytest.raises(DomainError):
+        density_bracket(many, method="bonferroni", depth=-1)
+
+
+def test_bonferroni_sums_match_subset_walk():
+    rng = random.Random(8)
+    for _ in range(40):
+        gens = rng.sample(range(2, 400), rng.randint(2, 12))
+        want = naive_ie_sums(gens)
+        for maxsize in range(1, len(gens) + 1):
+            assert _bonferroni_sums(gens, maxsize) == want[: maxsize + 1]
+
+
+def _bonferroni_cases():
+    pick = random.Random(720720)
+    for n, depth in ((30, 1), (40, 1), (30, 2), (36, 2)):
+        yield tuple(sorted(pick.sample(ANTICHAIN_POOL, n))), depth
+    yield tuple(range(1001, 1031)), 1
+    rng = random.Random(77)
+    for i in range(10):
+        yield tuple(rng.sample(range(2, 2000), rng.randint(2, 14))), i % 3
+
+
+def test_bonferroni_matches_subset_walk():
+    for gens, depth in _bonferroni_cases():
+        A = GeneratorSet(gens)
+        est = density_bracket(A, method="bonferroni", depth=depth)
+        assert (est.point, est.lower, est.upper) == naive_bonferroni(A.reduce().elements, depth)
+        assert est.method == "bonferroni" and est.params == {"depth": depth}
+        assert est.exact is None
 
 
 def test_sieve_density_matches_exact():

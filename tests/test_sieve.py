@@ -192,6 +192,20 @@ def test_build_matches_unsegmented_oracle(limit):
     _same(SpfSieve.build(limit).spf, spf_table(limit))
 
 
+@pytest.mark.parametrize("segment,limit", [
+    (7, 50),       # 49 = 7^2 opens the segment [49, 56)
+    (49, 1000),    # 49 opens [49, 98); 2 starts mid-segment
+    (50, 1000),    # 49 ends the first segment [2, 50)
+    (11, 121),     # 121 = 11^2 = limit opens the last segment
+    (11, 122),
+    (64, 10007),
+    (1000, 10**5 + 3),
+])
+def test_build_tiny_segments(segment, limit, monkeypatch):
+    monkeypatch.setattr(sieve_mod, "_BUILD_SEGMENT", segment)
+    _same(SpfSieve.build(limit).spf, spf_table(limit))
+
+
 @pytest.fixture(scope="module")
 def oracle_sieve():
     return SpfSieve(WINDOW_MAX, spf_table(WINDOW_MAX))
