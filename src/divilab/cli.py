@@ -15,7 +15,7 @@ import os
 import shlex
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -62,12 +62,10 @@ class RunConfig:
     about to be used, so deterministic presets never demand one.
     """
 
-    sieve_limit: int | None = None
     cache_path: str | None = None
     threads: int = 1
     seed: int | None = None
     output: str | None = None  # "json" or "csv"; None picks per command
-    params: dict = field(default_factory=dict)
 
 
 def _numbers(text: str, cast=int, sep: str = ",", count: int | None = None) -> list:
@@ -95,13 +93,11 @@ def _make_config(args, file_cfg: dict) -> RunConfig:
         return default
 
     return RunConfig(
-        sieve_limit=pick(getattr(args, "limit", None), "sieve_limit", _number),
         cache_path=pick(getattr(args, "sieve_cache", None), "cache_path", str,
                         os.environ.get("DIVILAB_CACHE")),
         threads=pick(getattr(args, "threads", None), "threads", _number, 1),
         seed=pick(getattr(args, "seed", None), "seed", _number),
         output=pick(getattr(args, "format", None), "output", str),
-        params=dict(file_cfg),
     )
 
 
@@ -133,13 +129,13 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write output to this path instead of stdout")
     common.add_argument("--format", choices=("json", "csv"), default=None)
-    common.add_argument("--sieve-cache", help="sieve cache file (or env DIVILAB_CACHE)")
     common.add_argument("--config", help="flat key=value config file with defaults")
     sub = p.add_subparsers(dest="cmd", parser_class=_Parser)
 
     s = sub.add_parser("sieve", help="build the smallest-prime-factor sieve",
                        parents=[common])
     s.add_argument("--limit", type=int, required=True)
+    s.add_argument("--sieve-cache", help="sieve cache file (or env DIVILAB_CACHE)")
 
     s = sub.add_parser("fn", help="per-integer divisor statistics", parents=[common])
     s.add_argument("--n", type=int)

@@ -1,18 +1,22 @@
 """Per-integer divisor-structure statistics.
 
 All window suprema are computed combinatorially over contiguous runs of the
-sorted divisors.  A run i..j is admissible iff log d_j - log d_i < 1
-(strict); the window boundary is never attained on integer divisors since
-e is irrational, so the strict rule realizes the supremum exactly.
+sorted divisors.  A run i..j is admissible iff d_j < e d_i; equality never
+holds since e is irrational.  The float gap log d_j - log d_i decides it
+outside a guard band of 1e-12 around 1: below 2^63 each log is within one
+ulp (7e-15) of the truth.  Inside the band the integers decide it against a
+rational enclosure E_LO < e < E_HI of about 60 digits; by the irrationality
+measure of e no integers d, d' < 2^64 have d E_LO < d' < d E_HI.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, Sequence
 
 from .arith import DivisorSpectrum, Factored
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 
 
 # ---------------------------------------------------------------------------
@@ -147,36 +151,60 @@ class RatioWeight:
 # ---------------------------------------------------------------------------
 # window statistics
 
-def _window_ends(logs: Sequence[float]) -> list[int]:
-    """For each start index i, the largest j with log d_j - log d_i < 1."""
+# e = sum 1/k!, and the tail past k = N is below 1/(N! N):
+# E_LO = _E_NUM/_E_DEN <= e < E_HI = (_E_NUM N + 1)/(_E_DEN N), width 8e-62.
+_E_TERMS = 47
+_E_DEN = math.factorial(_E_TERMS)
+_E_NUM = sum(_E_DEN // math.factorial(k) for k in range(_E_TERMS + 1))
+_BAND_LO, _BAND_HI = 1.0 - 1e-12, 1.0 + 1e-12
+
+
+def _below_e(d: int, d2: int) -> bool:
+    """Whether d2 < e d, decided in integers against the enclosure of e."""
+    if d2 * _E_DEN <= d * _E_NUM:
+        return True
+    if d2 * _E_DEN * _E_TERMS >= d * (_E_NUM * _E_TERMS + 1):
+        return False
+    raise ResourceError(f"cannot separate {d2}/{d} from e with the enclosure")
+
+
+def _window_ends(divs: Sequence[int], logs: Sequence[float]) -> list[int]:
+    """For each start index i, the largest j with d_j < e d_i."""
     tau = len(logs)
-    ends = [0] * tau
+    ends = []
     j = 0
-    for i in range(tau):
+    for i, li in enumerate(logs):
         if j < i:
             j = i
-        while j + 1 < tau and logs[j + 1] - logs[i] < 1.0:
+        while j + 1 < tau:
+            gap = logs[j + 1] - li
+            if gap >= _BAND_LO and (gap > _BAND_HI or not _below_e(divs[i], divs[j + 1])):
+                break
             j += 1
-        ends[i] = j
+        ends.append(j)
     return ends
+
+
+def _max_window(divs: Sequence[int], logs: Sequence[float]) -> int:
+    """Most divisors in one window, from the ascending divisors and their logs."""
+    ends = _window_ends(divs, logs)
+    return max(map(operator.sub, ends, range(-1, len(ends) - 1)))  # ends[i] - i + 1
 
 
 def delta(spec: DivisorSpectrum) -> int:
     """Maximum number of divisors in any window (e^u, e^{u+1}]."""
-    ends = _window_ends(spec.logs)
-    return max(e - i + 1 for i, e in enumerate(ends))
+    return _max_window(spec.divisors, spec.logs)
 
 
 def delta_osc(spec: DivisorSpectrum, f: OscWeight) -> float:
     """Weighted window supremum sup |sum of f over divisors in (e^u, e^{u+v}]|,
     0 <= v <= 1, with the empty window giving the floor value 0."""
     w = f.weights(spec.divisors)
-    logs = spec.logs
     tau = len(w)
     prefix = [0.0] * (tau + 1)
     for i, v in enumerate(w):
         prefix[i + 1] = prefix[i] + v
-    ends = _window_ends(logs)
+    ends = _window_ends(spec.divisors, spec.logs)
     best = 0.0
     for i in range(tau):
         base = prefix[i]

@@ -14,12 +14,14 @@ from fractions import Fraction
 import numpy as np
 
 from .density import DensityEstimate, exact_density
+from .divgeom import _max_window
 from .errors import DomainError, ResourceError
 from .locallaws import gaussian_cdf
 from .multiples import MAX_EXACT_GENERATORS, GeneratorSet, alpha0, divisor_hit_densities
-from .sieve import SpfSieve, primes_upto
+from .sieve import primes_upto
 from .tables import (
     _check_cap,
+    divisor_lists,
     e_set_mask,
     gpf_table,
     interval_divisor_counts,
@@ -28,6 +30,7 @@ from .tables import (
     omega_table,
     tau_table,
     tauplus_table,
+    tauplus_window,
 )
 
 LN2 = math.log(2.0)
@@ -56,37 +59,13 @@ def h_count(x: int, y: int, z: int, closed_left: bool = False) -> int:
     return int(np.count_nonzero(hits[1:]))
 
 
-_worker_sieve: SpfSieve | None = None
-
-
-def _tauplus_chunk(bounds: tuple[int, int]) -> int:
-    lo, hi = bounds
-    spf = _worker_sieve.spf
-    total = 0
-    for n in range(lo, hi):
-        divs = [1]
-        m = n
-        while m > 1:
-            p = int(spf[m])
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            block = list(divs)
-            pe = 1
-            for _ in range(e):
-                pe *= p
-                divs.extend(d * pe for d in block)
-        cells = 0
-        for d in divs:
-            cells |= 1 << (d - 1).bit_length()
-        total += cells.bit_count()
-    return total
+def _tauplus_sum(bounds: tuple[int, int]) -> int:
+    return int(tauplus_window(*bounds).sum())
 
 
 def _map_chunks(fn, lo: int, hi: int, threads: int) -> list:
     """Apply fn to disjoint subranges of [lo, hi); deterministic ordered merge.
-    Workers are forked so they share the module-level sieve read-only."""
+    fn reads only its bounds, so forked workers share no state."""
     bounds = []
     step = max(1, (hi - lo + threads - 1) // threads)
     for a in range(lo, hi, step):
@@ -103,27 +82,18 @@ def _map_chunks(fn, lo: int, hi: int, threads: int) -> list:
         return pool.map(fn, bounds)
 
 
-def t_sum(x: int, sieve: SpfSieve | None = None, threads: int = 1) -> tuple[int, int]:
+def t_sum(x: int, threads: int = 1) -> tuple[int, int]:
     """Sum of tau^+(n) over n <= x, computed two independent ways:
 
-    direct -- per-integer divisor generation from the SPF factorization,
-    collecting occupied dyadic cells into a bitmask;
+    direct -- per-divisor: every divisor ORs its dyadic cell into a bitmask
+    of each multiple (`tables.tauplus_window`), and the set bits are counted;
     dyadic -- the identity with interval counts, sum_{k >= -1} H(x, 2^k, 2^{k+1}).
 
     Returns (direct, dyadic); they must agree exactly.
     """
-    global _worker_sieve
     if x < 1:
         raise DomainError(f"need x >= 1, got {x}")
-    direct = 1  # n = 1 occupies the single cell (1/2, 1]
-    if x >= 2:
-        if sieve is None or sieve.limit < x:
-            sieve = SpfSieve.build(x)
-        _worker_sieve = sieve
-        try:
-            direct += sum(_map_chunks(_tauplus_chunk, 2, x + 1, threads))
-        finally:
-            _worker_sieve = None
+    direct = sum(_map_chunks(_tauplus_sum, 1, x + 1, threads))
     dyadic = x  # k = -1: every n has the divisor 1 in (1/2, 1]
     k = 0
     while (1 << k) < x:
@@ -133,23 +103,11 @@ def t_sum(x: int, sieve: SpfSieve | None = None, threads: int = 1) -> tuple[int,
 
 
 def _delta_sum_chunk(bounds: tuple[int, int]) -> int:
-    from .tables import divisor_lists
-
     lo, hi = bounds
     total = 0
-    for base, lists in divisor_lists(hi - 1, start=lo):
+    for _, lists in divisor_lists(hi - 1, start=lo):
         for divs in lists:
-            logs = [math.log(d) for d in divs]
-            best = 1
-            j = 0
-            for i in range(len(logs)):
-                if j < i:
-                    j = i
-                while j + 1 < len(logs) and logs[j + 1] - logs[i] < 1.0:
-                    j += 1
-                if j - i + 1 > best:
-                    best = j - i + 1
-            total += best
+            total += _max_window(divs, [math.log(d) for d in divs])
     return total
 
 
@@ -392,6 +350,18 @@ def totient_values(x: int) -> int:
 # ---------------------------------------------------------------------------
 # divisor multiples of an irrational: ||d theta||
 
+def _nearest_int_min(divs, theta) -> tuple:
+    """(min over the ascending divs of ||d theta||, the first d attaining it)."""
+    best, best_d = 1.0, 1
+    for d in divs:
+        t = d * theta
+        fr = t - math.floor(t)
+        dist = fr if fr < 0.5 else 1 - fr
+        if dist < best:
+            best, best_d = dist, d
+    return best, best_d
+
+
 def dtheta_min(f, theta) -> tuple[float, int]:
     """(min over d | n of ||d theta||, minimizing divisor); theta may be a
     float or a Fraction (exact arithmetic in the latter case)."""
@@ -399,15 +369,7 @@ def dtheta_min(f, theta) -> tuple[float, int]:
 
     if not math.isfinite(theta):
         raise DomainError(f"need a finite theta, got {theta}")
-    spec = divisors(f)
-    best = None
-    best_d = 1
-    for d in spec.divisors:
-        t = d * theta
-        fr = t - math.floor(t)
-        dist = min(fr, 1 - fr)
-        if best is None or dist < best:
-            best, best_d = dist, d
+    best, best_d = _nearest_int_min(divisors(f).divisors, theta)
     return float(best), best_d
 
 
@@ -445,8 +407,6 @@ def convergent_growth_report(theta: Fraction, J: int) -> list[float]:
 def dtheta_exponent_stats(lo: int, hi: int, theta) -> tuple[float, float]:
     """(median, mean) of log(1/min_d ||d theta||)/log tau(n) over n in
     [lo, hi]; integers where the minimum vanishes are skipped."""
-    from .tables import divisor_lists
-
     if not 2 <= lo <= hi:
         raise DomainError(f"need 2 <= lo <= hi, got {lo}..{hi}")
     th = float(theta)
@@ -455,13 +415,7 @@ def dtheta_exponent_stats(lo: int, hi: int, theta) -> tuple[float, float]:
         for divs in lists:
             if len(divs) < 2:
                 continue
-            best = 0.5
-            for d in divs:
-                t = d * th
-                fr = t - math.floor(t)
-                dist = fr if fr < 0.5 else 1.0 - fr
-                if dist < best:
-                    best = dist
+            best, _ = _nearest_int_min(divs, th)
             if best <= 0.0:
                 continue
             vals.append(math.log(1.0 / best) / math.log(len(divs)))

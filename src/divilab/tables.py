@@ -9,7 +9,10 @@ fills a whole chunk with one numpy expression in t[m], spf[n] and spf[m].
 Divisor-indexed tables use the hyperbola split: divisors d <= sqrt(x) are
 marked with one strided slice per d, and larger divisors are covered by one
 strided slice per cofactor m = n/d <= sqrt(x), so a full tau table costs
-O(sqrt(x)) numpy operations over O(x log x) cells.
+O(sqrt(x)) numpy operations over O(x log x) cells.  tau^+ comes from a
+per-divisor cell bitmask: each divisor d ORs the bit of its dyadic cell,
+1 << bitlen(d - 1), into a uint32 mask of every multiple, window by window,
+and the occupied cells are the mask's set bits.
 
 Scans partition cleanly over segments with associative merges; results are
 deterministic and independent of partitioning.
@@ -61,13 +64,10 @@ def tau_table(x: int) -> np.ndarray:
     return tau
 
 
-def interval_multiples_hits(x: int, lo_d: int, hi_d: int, out: np.ndarray | None = None) -> np.ndarray:
+def interval_multiples_hits(x: int, lo_d: int, hi_d: int) -> np.ndarray:
     """Boolean mask on 0..x of integers having a divisor in (lo_d, hi_d]."""
     _check_cap(x)
-    if out is None:
-        out = np.zeros(x + 1, dtype=bool)
-    else:
-        out[:] = False
+    out = np.zeros(x + 1, dtype=bool)
     hi_d = min(hi_d, x)
     if lo_d >= hi_d:
         return out
@@ -83,21 +83,42 @@ def interval_multiples_hits(x: int, lo_d: int, hi_d: int, out: np.ndarray | None
     return out
 
 
+def tauplus_window(lo: int, hi: int) -> np.ndarray:
+    """tau^+(n) for n in [lo, hi) as uint8: the number of dyadic cells
+    (2^(k-1), 2^k] occupied by divisors of n, cell k = bitlen(d - 1).
+
+    In each window [a, b) of 2^20 entries, every divisor d ORs 1 << k into
+    a uint32 mask of its multiples: d <= sqrt(b - 1) takes one strided
+    slice, and larger d one slice per cofactor m, split where d crosses a
+    power of two.  Below the scan cap every d < 2^28, so the 29 cells fit."""
+    if not 1 <= lo < hi:
+        raise DomainError(f"need 1 <= lo < hi, got [{lo}, {hi})")
+    _check_cap(hi - 1)
+    out = np.empty(hi - lo, dtype=np.uint8)
+    for a in range(lo, hi, _WALK_CHUNK):
+        b = min(a + _WALK_CHUNK, hi)
+        mask = np.zeros(b - a, dtype=np.uint32)
+        root = math.isqrt(b - 1)
+        for d in range(1, root + 1):
+            mask[-a % d::d] |= 1 << (d - 1).bit_length()
+        for m in range(1, (b - 1) // (root + 1) + 1):
+            d = max(root + 1, -(-a // m))
+            d_hi = (b - 1) // m
+            while d <= d_hi:
+                k = (d - 1).bit_length()
+                top = min(d_hi, 1 << k)
+                mask[m * d - a: m * top - a + 1: m] |= 1 << k
+                d = top + 1
+        out[a - lo:b - lo] = np.bitwise_count(mask)
+    return out
+
+
 def tauplus_table(x: int) -> np.ndarray:
-    """tau^+(n) for 0..x: the number of dyadic cells (2^k, 2^{k+1}] occupied
-    by divisors of n, with the k = -1 cell holding d = 1."""
+    """tau^+(n) for 0..x (index 0 unused)."""
     _check_cap(x)
-    kmax = (x - 1).bit_length() - 1 if x > 1 else 0
-    acc = np.zeros(x + 1, dtype=np.uint8)
-    hit = np.empty(x + 1, dtype=bool)
-    for k in range(-1, kmax + 1):
-        lo_d = (1 << k) if k >= 0 else 0
-        hi_d = min(1 << (k + 1), x)
-        if lo_d >= hi_d:
-            continue
-        interval_multiples_hits(x, lo_d, hi_d, out=hit)
-        acc += hit
-    return acc
+    out = np.zeros(x + 1, dtype=np.uint8)
+    out[1:] = tauplus_window(1, x + 1)
+    return out
 
 
 def gpf_table(x: int) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Naive, independent reimplementations used as test oracles.
 
-Nothing here imports from divilab: trial division, nested-loop window scans,
-midpoint quadrature, the per-prime strided numpy sieves that the SPF
-recurrence replaced, the unsegmented SPF sieve and the subset-walk Bonferroni
-bracket.  Slow on purpose.
+Nothing here imports from divilab: trial division, nested-loop window scans
+decided in integers against convergents of e, midpoint quadrature, the
+per-prime strided numpy sieves that the SPF recurrence replaced, the
+per-cell tau^+ builder that the divisor bitmask replaced, the unsegmented
+SPF sieve and the subset-walk Bonferroni bracket.  Slow on purpose.
 """
 
 import math
@@ -55,13 +56,38 @@ def naive_phi(n):
     return phi
 
 
+def _e_convergents(terms=60):
+    """The last two convergents p/q of e = [2; 1, 2, 1, 1, 4, 1, 1, 6, ...],
+    as (p, q) pairs below and above e (consecutive convergents straddle it)."""
+    h0, h1, k0, k1 = 1, 2, 0, 1
+    for i in range(terms):
+        a = 2 * (i // 3 + 1) if i % 3 == 1 else 1
+        h0, h1 = h1, a * h1 + h0
+        k0, k1 = k1, a * k1 + k0
+    if h0 * k1 < h1 * k0:
+        return (h0, k0), (h1, k1)
+    return (h1, k1), (h0, k0)
+
+
+(_E_BELOW, _E_ABOVE) = _e_convergents()
+
+
+def below_e(d, d2):
+    """d2 < e * d, decided in integers against convergents of e."""
+    if d2 * _E_BELOW[1] <= d * _E_BELOW[0]:
+        return True
+    if d2 * _E_ABOVE[1] >= d * _E_ABOVE[0]:
+        return False
+    raise AssertionError(f"{d2}/{d} too close to e for the convergents")
+
+
 def naive_delta(n):
     """Window max via nested loops: a maximizing window opens just below a
     divisor log."""
     divs = trial_divisors(n)
     best = 0
     for d in divs:
-        cnt = sum(1 for e in divs if d <= e and math.log(e) - math.log(d) < 1.0)
+        cnt = sum(1 for e in divs if d <= e and below_e(d, e))
         best = max(best, cnt)
     return best
 
@@ -74,7 +100,7 @@ def naive_delta_osc(n, weight):
     for i in range(len(divs)):
         acc = 0.0
         for j in range(i, len(divs)):
-            if math.log(divs[j]) - math.log(divs[i]) >= 1.0:
+            if not below_e(divs[i], divs[j]):
                 break
             acc += vals[j]
             best = max(best, abs(acc))
@@ -124,8 +150,7 @@ def naive_in_ME(n):
 def naive_has_close_pair(n):
     """Two divisors d < d' <= e*d (window form of 'delta > 1')."""
     divs = trial_divisors(n)
-    return any(math.log(divs[i + 1]) - math.log(divs[i]) < 1.0
-               for i in range(len(divs) - 1))
+    return any(below_e(divs[i], divs[i + 1]) for i in range(len(divs) - 1))
 
 
 def naive_ie_sums(gens):
@@ -376,3 +401,25 @@ def spf_table(limit):
     rest = np.flatnonzero(spf[2:] == 0) + 2
     spf[rest] = rest
     return spf
+
+
+def cell_tauplus_table(x):
+    """tau^+ on 0..x, one dyadic cell (lo, hi] = (0, 1], (1, 2], (2, 4], ...
+    at a time: a boolean mask of the integers with a divisor in the cell, by
+    the hyperbola split, added into the count."""
+    acc = np.zeros(x + 1, dtype=np.uint8)
+    D = math.isqrt(x)
+    lo_d, hi_d = 0, 1
+    while lo_d < x:
+        top = min(hi_d, x)
+        hit = np.zeros(x + 1, dtype=bool)
+        for d in range(lo_d + 1, min(top, D) + 1):
+            hit[d::d] = True
+        if top > D:
+            for m in range(1, x // (D + 1) + 1):
+                lo, hi = max(D, lo_d), min(top, x // m)
+                if hi > lo:
+                    hit[m * (lo + 1): m * hi + 1: m] = True
+        acc += hit
+        lo_d, hi_d = hi_d, 2 * hi_d
+    return acc

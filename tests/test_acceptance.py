@@ -221,9 +221,8 @@ def test_criterion_08_integral_bound():
 def test_criterion_09_tsum_cross_method():
     ok = True
     detail = []
-    sv = build_sieve(10**6)
     for x in (10**3, 10**4, 10**5, 10**6):
-        d, y = exp.t_sum(x, sieve=sv)
+        d, y = exp.t_sum(x)
         if d != y:
             ok = False
             detail.append(f"x={x}: direct {d} != dyadic {y}")

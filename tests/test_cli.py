@@ -199,6 +199,12 @@ def test_sieve_cache_env(tmp_path, monkeypatch, capsys):
     assert out.strip().splitlines()[1] == "12,5"
 
 
+def test_sieve_cache_flag_only_on_sieve(tmp_path, capsys):
+    code, _ = run(capsys, "lambdad", "--k", "3", "--d", "4",
+                  "--sieve-cache", str(tmp_path / "missing" / "x.dvl"))
+    assert code == 64
+
+
 def test_sieve_replaces_small_cache(tmp_path, capsys):
     cache = tmp_path / "spf.dvl"
     code, _ = run(capsys, "sieve", "--limit", "1000", "--sieve-cache", str(cache))
@@ -367,6 +373,10 @@ def test_config_file(tmp_path, capsys):
     cfg.write_text("nonsense line\n")
     code, _ = run(capsys, "exp", "--preset", "constants", "--config", str(cfg))
     assert code == 64
+    # no setting reads a sieve limit from the config file
+    cfg.write_text("sieve_limit=abc\n")
+    code, _ = run(capsys, "exp", "--preset", "constants", "--config", str(cfg))
+    assert code == 0
 
 
 def test_cli_import_loads_no_scipy():

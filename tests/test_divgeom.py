@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from divilab import (
     DomainError,
+    Factored,
     OscWeight,
     RatioWeight,
+    ResourceError,
     delta,
     delta_osc,
     divisors,
@@ -19,8 +21,10 @@ from divilab import (
     tau_plus,
     u_stat,
 )
+from divilab import divgeom
 
 from oracles import (
+    below_e,
     naive_delta,
     naive_delta_osc,
     naive_e_r,
@@ -142,6 +146,28 @@ def test_oracle_equivalence_prefix(sieve_1e4):
             assert e_r(spec, 1) == pytest.approx(naive_e_r(n, 1), abs=1e-9)
             assert f_theta(spec, ind) == pytest.approx(
                 naive_f_theta(n, lambda r: 1.0 if r > 0.5 else 0.0), abs=1e-9)
+
+
+def test_window_end_near_e_is_exact(monkeypatch):
+    """d' = 410105312 < e d for d = 150869313 (d'/d - e = -2.2e-17), yet the
+    float gap log d' - log d rounds to exactly 1.0: the window from d must
+    still end at d'."""
+    n = 61872306679090656  # 2^5 3^2 7 37 59 1097 1709 7499 < 2^63
+    spec = divisors(Factored(n, ((2, 5), (3, 2), (7, 1), (37, 1), (59, 1),
+                                 (1097, 1), (1709, 1), (7499, 1))))
+    d, d2 = 150869313, 410105312
+    assert math.log(d2) - math.log(d) == 1.0
+    assert below_e(d, d2)
+    i, j = spec.divisors.index(d), spec.divisors.index(d2)
+    assert divgeom._window_ends(spec.divisors, spec.logs)[i] == j
+    assert delta(spec) == 60
+    # an enclosure of e too coarse to separate d'/d raises instead of guessing
+    den = math.factorial(10)
+    monkeypatch.setattr(divgeom, "_E_TERMS", 10)
+    monkeypatch.setattr(divgeom, "_E_DEN", den)
+    monkeypatch.setattr(divgeom, "_E_NUM", sum(den // math.factorial(k) for k in range(11)))
+    with pytest.raises(ResourceError):
+        delta(spec)
 
 
 def test_invariant_bounds(sieve_1e4):
