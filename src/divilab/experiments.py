@@ -353,10 +353,12 @@ def totient_values(x: int) -> int:
 def _nearest_int_min(divs, theta) -> tuple:
     """(min over the ascending divs of ||d theta||, the first d attaining it)."""
     best, best_d = 1.0, 1
+    # a Fraction compared with the float 0.5 would convert 0.5 on every divisor
+    half = Fraction(1, 2) if isinstance(theta, Fraction) else 0.5
     for d in divs:
         t = d * theta
         fr = t - math.floor(t)
-        dist = fr if fr < 0.5 else 1 - fr
+        dist = fr if fr < half else 1 - fr
         if dist < best:
             best, best_d = dist, d
     return best, best_d

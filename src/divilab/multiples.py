@@ -260,6 +260,29 @@ def _bonferroni_sums(gens: Sequence[int], maxsize: int) -> list[Fraction]:
     return [Fraction(0), *sums, Fraction(top, L)]
 
 
+def _bonferroni_visits(gens: Sequence[int], maxsize: int) -> int:
+    """A bound on the entries _bonferroni_sums(gens, maxsize) visits.
+
+    Each generator is a product of powers of the coprime base, so a subset
+    lcm is prod b^e_b with e_b <= E_b, the largest exponent of b in any
+    generator: there are at most T = prod (E_b + 1) distinct lcms.  Each of
+    the n passes visits levels 0..maxsize-1, and level k holds at most
+    min(C(n, k), T) lcms.
+    """
+    T = 1
+    for b in _coprime_base(gens):
+        top = 0
+        for a in gens:
+            e = 0
+            while a % b == 0:
+                a //= b
+                e += 1
+            top = max(top, e)
+        T *= top + 1
+    n = len(gens)
+    return n * sum(min(math.comb(n, k), T) for k in range(maxsize))
+
+
 def density_bracket(A: GeneratorSet, method: str = "auto", depth: int = 3) -> DensityEstimate:
     """Natural density of M(A) with a rigorous bracket.
 
@@ -272,8 +295,9 @@ def density_bracket(A: GeneratorSet, method: str = "auto", depth: int = 3) -> De
     depth ends on a positive term (upper bound), odd on negative (lower
     bound).  The sums S_k run one level further, to the other side of the
     bracket, and come exact from a DP over subset sizes and lcms
-    (_bonferroni_sums), not a walk over subsets.  A depth whose levels count
-    more than 3 000 000 subsets still raises ResourceError before any work.
+    (_bonferroni_sums), not a walk over subsets.  Before any work it raises
+    ResourceError when the levels count more than 3 000 000 subsets and the
+    DP's visit bound (_bonferroni_visits) is also above 3 000 000.
     auto: exact_ie up to MAX_EXACT_GENERATORS generators, bonferroni beyond.
     """
     A = A.reduce()
@@ -294,10 +318,12 @@ def density_bracket(A: GeneratorSet, method: str = "auto", depth: int = 3) -> De
         maxsize = min(depth + 2, n)  # one extra level gives the two-sided bracket
         terms = sum(math.comb(n, k) for k in range(1, maxsize + 1))
         if terms > 3_000_000:
-            raise ResourceError(
-                f"bonferroni depth {depth} over {n} generators needs {terms} "
-                f"subset terms; lower the depth"
-            )
+            visits = _bonferroni_visits(A.elements, maxsize)
+            if visits > 3_000_000:
+                raise ResourceError(
+                    f"bonferroni depth {depth} over {n} generators needs {terms} "
+                    f"subset terms and up to {visits} lcm visits; lower the depth"
+                )
         sums = _bonferroni_sums(A.elements, maxsize)
         partial = Fraction(0)
         partials = []

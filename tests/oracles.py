@@ -4,7 +4,8 @@ Nothing here imports from divilab: trial division, nested-loop window scans
 decided in integers against convergents of e, midpoint quadrature, the
 per-prime strided numpy sieves that the SPF recurrence replaced, the
 per-cell tau^+ builder that the divisor bitmask replaced, the unsegmented
-SPF sieve and the subset-walk Bonferroni bracket.  Slow on purpose.
+SPF sieve, the subset-walk Bonferroni bracket and the per-prime local-law
+e_j sweep that the column-wise DP replaced.  Slow on purpose.
 """
 
 import math
@@ -423,3 +424,26 @@ def cell_tauplus_table(x):
         acc += hit
         lo_d, hi_d = hi_d, 2 * hi_d
     return acc
+
+
+def row_lambda_sweep(pmax, kmax=None):
+    """The local-law e_j DP one prime at a time: yields
+    (p, prod_{q<p}(1-1/q), e, pi(p - 1)) for the primes p <= pmax, with e[j]
+    the elementary symmetric function of {1/(q-1): q < p} truncated at kmax.
+    The e buffer is reused between rows."""
+    return row_sweep([int(p) for p in _primes_upto(pmax)], kmax)
+
+
+def row_sweep(ps, kmax=None):
+    """row_lambda_sweep over any ascending ps > 1 in place of the primes."""
+    size = (len(ps) if kmax is None else min(kmax, len(ps))) + 1
+    e = np.zeros(size)
+    e[0] = 1.0
+    prod = 1.0
+    seen = 0
+    for p in ps:
+        yield p, prod, e, seen
+        hi = min(seen + 1, size - 1)
+        e[1:hi + 1] += e[:hi] / (p - 1)
+        seen += 1
+        prod *= 1.0 - 1.0 / p

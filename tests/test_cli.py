@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -248,6 +250,45 @@ def test_fn_outputs_fixed(n, capsys):
             "artifact_version": divilab.__version__, "command": "fn",
             "params": {"range": [n, n], "what": what},
             "values": {"rows": 1, "skipped": 0, "tag": "exact", "value": float(value)}}
+
+
+# stdout of the local-law commands as the per-prime e_j sweep printed them,
+# with the wall_time field taken out
+LAMBDA_OUTPUTS = {
+    ("lambda", "--k", "2", "--median"):
+        '{"artifact_version": "{v}", "command": "lambda", "params": {"k": 2, "median": true}, '
+        '"values": {"cum_at": 0.500247503557, "cum_before": 0.490611382861, "p_star": 37, '
+        '"tag": "exact", "tie_at": null}}\n',
+    ("lambda", "--k", "3", "--median"):
+        '{"artifact_version": "{v}", "command": "lambda", "params": {"k": 3, "median": true}, '
+        '"values": {"cum_at": 0.500001596581, "cum_before": 0.499995314848, "p_star": 42719, '
+        '"tag": "exact", "tie_at": null}}\n',
+    ("lambda", "--mode", "--p", "60013"):
+        '{"artifact_version": "{v}", "command": "lambda", "params": {"mode": true, "p": 60013}, '
+        '"values": {"k_star": 3, "lambda_star": 4.42472524435e-06, "tag": "exact"}}\n',
+    ("lambda", "--k", "3", "--pmax", "30011", "--format", "json"):
+        '{"artifact_version": "{v}", "command": "lambda", "params": {"k": 3, "pmax": 30011}, '
+        '"values": {"partial_sum": 0.490844954744, "tag": "exact", "tail": 0.509155045256}}\n',
+    ("exp", "--preset", "median-primes", "--k", "1,2,3"):
+        '{"artifact_version": "{v}", "command": "exp", "params": {"k": [1, 2, 3], '
+        '"preset": "median-primes"}, "values": {"p1_star": 3, "p1_tie_at": 2, "p2_star": 37, '
+        '"p3_star": 42719, "tag": "exact"}}\n',
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LAMBDA_OUTPUTS))
+def test_lambda_outputs_fixed(argv, capsys):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    out = re.sub(r', "wall_time": [-+.e0-9]+', "", out)
+    assert out == LAMBDA_OUTPUTS[argv].replace("{v}", divilab.__version__)
+
+
+def test_lambda_row_csv_fixed(capsys):
+    code, out = run(capsys, "lambda", "--k", "3", "--pmax", "30011")
+    assert code == 0 and len(out.splitlines()) == 3247
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "d08aec16b515f8908d8ebcdacd2e7f60dd73fffbd15fd7dc37d7b37c8a97fa00"
 
 
 def test_fn_above_cap_exits_3(capsys, monkeypatch):

@@ -1,6 +1,8 @@
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
+import numpy as np
 import pytest
 
 from divilab import (
@@ -18,9 +20,23 @@ from divilab import (
     s_coeffs,
     unimodal_check,
 )
-from divilab.locallaws import lambda_sweep
+from divilab import locallaws
+from divilab.locallaws import (
+    LocalLawRow,
+    MedianResult,
+    _exact_cum_is_half,
+    _sweep_columns,
+    _unimodal,
+    lambda_sweep,
+)
 
-from oracles import naive_lambda_kd, s_coeffs_exact, simpson_normal_cdf
+from oracles import (
+    naive_lambda_kd,
+    row_lambda_sweep,
+    row_sweep,
+    s_coeffs_exact,
+    simpson_normal_cdf,
+)
 
 
 def test_s_coeffs_examples():
@@ -248,3 +264,149 @@ def test_row_mass_approaches_one():
     # every n > 1 has a first prime factor, so the k=1 row mass fills up
     assert lambda_row(1, 10**5).partial_sum > 0.95
     assert lambda_row(1, 10**5).partial_sum < 1.0
+
+
+# -- the column-wise e_j DP against the per-prime oracle, bit for bit --------
+
+def _assert_rows_equal(got, want):
+    """Row-for-row equality of two sweeps: prime, seen, prod to the bit and
+    e by np.array_equal; returns the number of rows."""
+    n = 0
+    for a, b in zip_longest(got, want):
+        assert a is not None and b is not None, f"lengths differ after {n} rows"
+        (p, prod, e, seen), (q, prod_q, e_q, seen_q) = a, b
+        assert (type(p), type(prod), type(seen)) == (int, float, int)
+        assert (p, seen, prod.hex()) == (q, seen_q, prod_q.hex())
+        assert np.array_equal(e, e_q), p
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("pmax,kmax", [
+    (2, None), (3, None), (500, None), (10**4, None), (60013, None),
+    (2000, 0), (2000, 1), (2000, 3), (2000, 9), (60013, 3),
+])
+def test_lambda_sweep_matches_row_oracle(pmax, kmax):
+    rows = _assert_rows_equal(lambda_sweep(pmax, kmax), row_lambda_sweep(pmax, kmax))
+    assert rows == len(locallaws.primes_upto(pmax))
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_lambda_sweep_across_small_blocks(monkeypatch, block):
+    monkeypatch.setattr(locallaws, "_BLOCK", block)
+    for pmax, kmax in ((10**4, None), (2000, 3), (3, None)):
+        _assert_rows_equal(lambda_sweep(pmax, kmax), row_lambda_sweep(pmax, kmax))
+
+
+@pytest.mark.parametrize("block", [64, 4096])
+def test_sweep_columns_grow_past_the_first_buffer(monkeypatch, block):
+    # with 1/(q-1) = 1/2 no e_j underflows, so all 301 columns stay nonzero
+    # and the 256-row column buffer has to grow, within a block or between
+    monkeypatch.setattr(locallaws, "_BLOCK", block)
+    ps = np.full(300, 3.0)
+    want = row_sweep(ps.tolist())
+    got = []
+    for lo, prods, E, _ in _sweep_columns(ps, 301):
+        for r in range(len(prods) - 1):
+            got.append((int(ps[lo + r]), float(prods[r]), np.pad(E[:, r], (0, 301 - len(E))), lo + r))
+    assert len(E) == 301
+    assert _assert_rows_equal(got, ((int(p), prod, e, s) for p, prod, e, s in want)) == 300
+
+
+def _oracle_state(p, kmax=None):
+    for q, prod, e, seen in row_lambda_sweep(p, kmax):
+        if q == p:
+            return prod, e.copy(), seen
+
+
+def _row_bits(row):
+    return (row.k, row.partial_sum.hex(), row.tail.hex(),
+            tuple((p, type(p), lam.hex()) for p, lam in row.entries))
+
+
+def _oracle_lambda_row(k, P):
+    entries = []
+    total = 0.0
+    for p, prod, e, seen in row_lambda_sweep(2 * P, k):  # a prime lies in (P, 2P]
+        if p > P:
+            break
+        lam = float(e[k - 1]) * prod / p if k - 1 <= seen else 0.0
+        entries.append((p, lam))
+        total += lam
+    tail = float(prod * e[:min(k, seen + 1)].sum())
+    return LocalLawRow(k, tuple(entries), total, tail)
+
+
+def _oracle_median(k, pmax=200_000):
+    cum = 0.0
+    tie_at = None
+    for p, prod, e, seen in row_lambda_sweep(pmax, k):
+        lam = float(e[k - 1]) * prod / p if k - 1 <= seen else 0.0
+        prev = cum
+        cum += lam
+        if abs(cum - 0.5) < 1e-9:
+            if p <= 1000 and _exact_cum_is_half(k, p):
+                tie_at = p
+                continue
+        if cum > 0.5:
+            return MedianResult(p, prev, cum, tie_at)
+    return None
+
+
+def _median_bits(m):
+    return (m.p_star, m.cum_before.hex(), m.cum_at.hex(), m.tie_at)
+
+
+@pytest.mark.parametrize("block", [None, 5])
+def test_lambda_row_matches_row_oracle(monkeypatch, block):
+    if block:
+        monkeypatch.setattr(locallaws, "_BLOCK", block)
+    for k in (1, 2, 3, 4, 200, 10**12):
+        for P in (2, 3, 10, 1000, 7919, 7920):
+            assert _row_bits(lambda_row(k, P)) == _row_bits(_oracle_lambda_row(k, P)), (k, P)
+
+
+def test_lambda_row_longer_than_a_block():
+    assert len(locallaws.primes_upto(30011)) > locallaws._BLOCK
+    for k in (1, 3):
+        assert _row_bits(lambda_row(k, 30011)) == _row_bits(_oracle_lambda_row(k, 30011))
+
+
+@pytest.mark.parametrize("block", [None, 5])
+def test_median_matches_row_oracle(monkeypatch, block):
+    if block:
+        monkeypatch.setattr(locallaws, "_BLOCK", block)
+    for k in (1, 2, 3):
+        assert _median_bits(median_prime_detail(k)) == _median_bits(_oracle_median(k))
+    assert _oracle_median(4, 10**5) is None
+    with pytest.raises(ResourceError, match="by p = 100000"):
+        median_prime_detail(4, pmax=10**5)
+    with pytest.raises(ResourceError, match="reaches only 0.000000 by p = 1000"):
+        median_prime_detail(10**12, pmax=1000)  # no column buffer of 10^12 entries
+
+
+def test_point_queries_match_row_oracle():
+    wanted = {int(p) for p in locallaws.primes_upto(500)} | {7919, 7927}
+    for p, prod, e, seen in row_lambda_sweep(7927):
+        if p not in wanted:
+            continue
+        j = int(np.argmax(e[:seen + 1]))
+        k_star, lam = lambda_mode(p)
+        assert (k_star, lam.hex()) == (j + 1, float(e[j] * prod / p).hex())
+        assert unimodal_check(p) == _unimodal(e[:seen + 1])
+        for kmax in (0, 1, 3, 9):
+            want = np.pad(e[:kmax + 1], (0, max(0, kmax + 1 - len(e))))
+            assert np.array_equal(s_coeffs(p, kmax).e, want), (p, kmax)
+        for k in (1, 2, 4):
+            want = prod * e[k - 1] / p if k - 1 <= seen else 0.0
+            assert lambda_kp(k, p).hex() == float(want).hex(), (p, k)
+
+
+def test_point_queries_longer_than_a_block():
+    for p in (30011, 60013):
+        prod, e, seen = _oracle_state(p)
+        assert seen > locallaws._BLOCK
+        j = int(np.argmax(e[:seen + 1]))
+        k_star, lam = lambda_mode(p)
+        assert (k_star, lam.hex()) == (j + 1, float(e[j] * prod / p).hex())
+        assert unimodal_check(p) == _unimodal(e[:seen + 1])

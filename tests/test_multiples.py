@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -27,7 +28,13 @@ from divilab import (
     sequential_density,
 )
 import divilab.multiples as multiples_mod
-from divilab.multiples import SIGMA0, _bonferroni_sums, block_elements, sieve_density
+from divilab.multiples import (
+    SIGMA0,
+    _bonferroni_sums,
+    _bonferroni_visits,
+    block_elements,
+    sieve_density,
+)
 
 from oracles import (
     naive_bonferroni,
@@ -115,6 +122,33 @@ def test_bonferroni_guardrails(monkeypatch):
         density_bracket(many, method="bonferroni", depth=4)
     with pytest.raises(DomainError):
         density_bracket(many, method="bonferroni", depth=-1)
+
+
+def test_bonferroni_cap_counts_lcms_not_subsets():
+    # the C(46, k) subsets for k <= 6 exceed 3 000 000, but the 46 divisors
+    # of 720720 have at most 5 * 3 * 2^4 = 240 distinct lcms per level
+    A = GeneratorSet(ANTICHAIN_POOL)
+    assert len(A.reduce()) == 46
+    exact = Fraction(naive_multiples_count(ANTICHAIN_POOL, 720720), 720720)
+    for depth in (4, 8):
+        est = density_bracket(A, method="bonferroni", depth=depth)
+        assert est.method == "bonferroni"
+        assert Fraction(est.lower) <= exact <= Fraction(est.upper)
+
+
+def test_bonferroni_visit_bound_holds():
+    # each of the n passes of the lcm DP visits at most the distinct lcms of
+    # the k-subsets at every level k < maxsize
+    rng = random.Random(46)
+    sets = [tuple(rng.sample(ANTICHAIN_POOL, 9))] + [
+        tuple(rng.sample(range(2, 300), rng.randint(2, 9))) for _ in range(30)
+    ]
+    for gens in sets:
+        n = len(gens)
+        distinct = [len({math.lcm(*c) for c in itertools.combinations(gens, k)})
+                    for k in range(n + 1)]
+        for maxsize in range(1, n + 1):
+            assert _bonferroni_visits(gens, maxsize) >= n * sum(distinct[:maxsize]), gens
 
 
 def test_bonferroni_sums_match_subset_walk():
