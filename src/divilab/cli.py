@@ -92,10 +92,13 @@ def _make_config(args, file_cfg: dict) -> RunConfig:
             return cast(file_cfg[key])
         return default
 
+    threads = pick(getattr(args, "threads", None), "threads", _number, 1)
+    if threads < 1:
+        raise UsageError(f"threads must be >= 1, got {threads}")
     return RunConfig(
         cache_path=pick(getattr(args, "sieve_cache", None), "cache_path", str,
                         os.environ.get("DIVILAB_CACHE")),
-        threads=pick(getattr(args, "threads", None), "threads", _number, 1),
+        threads=threads,
         seed=pick(getattr(args, "seed", None), "seed", _number),
         output=pick(getattr(args, "format", None), "output", str),
     )

@@ -8,6 +8,7 @@ Scans are deterministic; Monte Carlo never runs without an explicit seed.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -65,12 +66,15 @@ def _tauplus_sum(bounds: tuple[int, int]) -> int:
 
 def _map_chunks(fn, lo: int, hi: int, threads: int) -> list:
     """Apply fn to disjoint subranges of [lo, hi); deterministic ordered merge.
-    fn reads only its bounds, so forked workers share no state."""
-    bounds = []
-    step = max(1, (hi - lo + threads - 1) // threads)
-    for a in range(lo, hi, step):
-        bounds.append((a, min(a + step, hi)))
-    if threads <= 1 or len(bounds) == 1:
+    fn reads only its bounds, so forked workers share no state.  The pool
+    holds at most one worker per CPU."""
+    if threads < 1:
+        raise DomainError(f"need threads >= 1, got {threads}")
+    workers = min(threads, os.cpu_count() or 1)
+    step = -(-(hi - lo) // workers)
+    bounds = [(a, min(a + step, hi)) for a in range(lo, hi, step)]
+    workers = min(workers, len(bounds))
+    if workers <= 1:
         return [fn(b) for b in bounds]
     import multiprocessing as mp
 
@@ -78,7 +82,7 @@ def _map_chunks(fn, lo: int, hi: int, threads: int) -> list:
         ctx = mp.get_context("fork")
     except ValueError:
         return [fn(b) for b in bounds]
-    with ctx.Pool(processes=threads) as pool:
+    with ctx.Pool(processes=workers) as pool:
         return pool.map(fn, bounds)
 
 

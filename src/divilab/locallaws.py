@@ -338,6 +338,8 @@ def Lambda_kd(
         raise DomainError(f"unknown Lambda method {method!r}")
     if seed is None:
         raise DomainError("monte carlo Lambda_kd requires a seed")
+    if samples < 1:
+        raise DomainError(f"need samples >= 1, got {samples}")
     if d > 10_000:
         raise ResourceError(f"monte carlo cost grows with d; d={d} > 10000")
     rng = np.random.Generator(np.random.Philox(seed))

@@ -424,12 +424,12 @@ def criterion4_scan(A: GeneratorSet, eps: float, x: int) -> float:
 
 def behrend_ineq_check(A: GeneratorSet, B: GeneratorSet) -> tuple[float, float, bool]:
     """Both sides of 1 - dM(A ∪ B) >= (1 - dM(A))(1 - dM(B)) from exact
-    densities."""
+    densities, compared as Fractions."""
     union = GeneratorSet(set(A.elements) | set(B.elements))
     da, db, du = (density_bracket(G, method="exact_ie").exact for G in (A, B, union))
     lhs = 1 - du
     rhs = (1 - da) * (1 - db)
-    return float(lhs), float(rhs), float(lhs) >= float(rhs) - 1e-12
+    return float(lhs), float(rhs), lhs >= rhs
 
 
 # ---------------------------------------------------------------------------
@@ -523,58 +523,28 @@ def alpha0(sigma: float) -> float:
 # ---------------------------------------------------------------------------
 # friable lower bound m(y)
 
-def _friables_upto(limit: int, y: int) -> list[int]:
-    out = [1]
-    for p in primes_upto(y):
-        p = int(p)
-        cur = list(out)
-        for r in cur:
-            v = r * p
-            while v <= limit:
-                out.append(v)
-                v *= p
-    out.sort()
-    return out
-
-
-def m_of_y(A: GeneratorSet, y: int, truncation: int = 10**7) -> DensityEstimate:
-    """Friable lower-bound functional for d M(A):
+def m_of_y(A: GeneratorSet, y: int) -> DensityEstimate:
+    """Friable lower-bound functional for d M(A), exactly:
 
         m(y) = prod_{p<=y}(1 - 1/p) * sum 1/r
 
-    over the y-friable members r of M(A ∩ friables).  The sum is truncated at
-    the given bound; a Rankin-style tail estimate widens the upper bracket,
-    never silently."""
+    over the y-friable r in M(A_y), A_y the y-friable members of A.  Under the
+    product measure of valuations the y-friable part of n is r with
+    probability prod_{p<=y}(1 - 1/p) / r, and n lies in M(A_y) exactly when
+    that part does, so m(y) = d M(A_y), which the valuation DP computes (0
+    when A_y is empty).  Raises ResourceError past MAX_DP_STATES states."""
     if y < 2:
         raise DomainError(f"need y >= 2, got {y}")
-    # A_y: members of A that are themselves y-friable
+    ps = primes_upto(y).tolist()
     ay = []
     for a in A.elements:
         m = a
-        for p in primes_upto(y):
-            p = int(p)
+        for p in ps:
             while m % p == 0:
                 m //= p
         if m == 1:
             ay.append(a)
-    prod = 1.0
-    for p in primes_upto(y):
-        prod *= 1.0 - 1.0 / int(p)
-    if not ay:
-        return DensityEstimate(0.0, 0.0, 0.0, "sequential", params={"y": y})
-    total = 0.0
-    for r in _friables_upto(truncation, y):
-        if any(r % a == 0 for a in ay):
-            total += 1.0 / r
-    point = prod * total
-    # Rankin: sum_{r > X, P+(r) <= y} 1/r <= X^{s-1} prod_{p<=y} (1 - p^{-s})^{-1}
-    s = 1.0 - 1.0 / math.log(y) if y > 2 else 0.5
-    tail = truncation ** (s - 1.0)
-    for p in primes_upto(y):
-        tail /= 1.0 - float(p) ** (-s)
-    upper = min(1.0, point + prod * tail)
-    return DensityEstimate(point, point, upper, "sequential",
-                           params={"y": y, "truncation": truncation})
+    return exact_density(_valuation_density(ay), y=y)
 
 
 # ---------------------------------------------------------------------------

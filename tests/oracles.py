@@ -4,8 +4,9 @@ Nothing here imports from divilab: trial division, nested-loop window scans
 decided in integers against convergents of e, midpoint quadrature, the
 per-prime strided numpy sieves that the SPF recurrence replaced, the
 per-cell tau^+ builder that the divisor bitmask replaced, the unsegmented
-SPF sieve, the subset-walk Bonferroni bracket and the per-prime local-law
-e_j sweep that the column-wise DP replaced.  Slow on purpose.
+SPF sieve, the subset-walk Bonferroni bracket, the per-prime local-law
+e_j sweep that the column-wise DP replaced, and the truncated friable sum
+with its Rankin tail that m(y) came from.  Slow on purpose.
 """
 
 import math
@@ -208,6 +209,46 @@ def naive_multiples_count(gens, x):
     for a in gens:
         hit.update(range(a, x + 1, a))
     return len(hit)
+
+
+def friable_m_bracket(gens, y, truncation):
+    """(point, upper) around m(y) = prod_{p<=y}(1 - 1/p) * sum 1/r over the
+    y-friable r in M(A_y), A_y the y-friable members of gens: the sum is cut
+    at r <= truncation, and the Rankin bound on the rest,
+    sum_{r > X, P+(r) <= y} 1/r <= X^{s-1} prod_{p<=y} (1 - p^-s)^-1,
+    widens the upper end."""
+    ps = [int(p) for p in _primes_upto(y)]
+
+    def friable(a):
+        for p in ps:
+            while a % p == 0:
+                a //= p
+        return a == 1
+
+    ay = [a for a in gens if friable(a)]
+    if not ay:
+        return 0.0, 0.0
+    friables = [1]
+    for p in ps:
+        for r in list(friables):
+            v = r * p
+            while v <= truncation:
+                friables.append(v)
+                v *= p
+    friables.sort()
+    total = 0.0
+    for r in friables:
+        if any(r % a == 0 for a in ay):
+            total += 1.0 / r
+    prod = 1.0
+    for p in ps:
+        prod *= 1.0 - 1.0 / p
+    point = prod * total
+    s = 1.0 - 1.0 / math.log(y) if y > 2 else 0.5
+    tail = truncation ** (s - 1.0)
+    for p in ps:
+        tail /= 1.0 - p ** (-s)
+    return point, min(1.0, point + prod * tail)
 
 
 def naive_h_count(x, y, z):

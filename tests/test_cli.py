@@ -420,6 +420,23 @@ def test_config_file(tmp_path, capsys):
     assert code == 0
 
 
+def test_bad_counts_exit_codes(tmp_path, capsys):
+    cfg = tmp_path / "divilab.cfg"
+    cfg.write_text("threads=0\n")
+    table = [
+        (("exp", "--preset", "tsum", "--x", "100", "--threads", "0"), 64),
+        (("exp", "--preset", "tsum", "--x", "100", "--threads", "-3"), 64),
+        (("exp", "--preset", "tsum", "--x", "100", "--config", str(cfg)), 64),
+        (("lambdad", "--k", "5", "--d", "21", "--method", "mc", "--samples", "0",
+          "--seed", "1"), 2),
+    ]
+    for argv, want in table:
+        code = dispatch(list(argv))
+        err = capsys.readouterr().err
+        assert code == want, argv
+        assert "Traceback" not in err
+
+
 def test_cli_import_loads_no_scipy():
     """numpy is the only runtime dependency: a fresh interpreter importing the
     CLI must not pull in scipy."""

@@ -42,6 +42,59 @@ def test_t_sum_worker_pool_matches_serial():
     assert exp.s_avg(3000, threads=3) == exp.s_avg(3000, threads=1)
 
 
+def test_threads_below_one_rejected():
+    for threads in (0, -1):
+        with pytest.raises(DomainError):
+            exp.t_sum(100, threads=threads)
+        with pytest.raises(DomainError):
+            exp.s_avg(100, threads=threads)
+
+
+def test_worker_pool_clamped_to_cpus(monkeypatch):
+    import multiprocessing
+
+    def no_pool(*args):
+        raise AssertionError("no worker pool expected")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    want_t, want_s = exp.t_sum(5000), exp.s_avg(3000)
+    for cpus in (1, None):
+        monkeypatch.setattr(exp.os, "cpu_count", lambda: cpus)
+        assert exp.t_sum(5000, threads=8) == want_t
+        assert exp.s_avg(3000, threads=10**9) == want_s
+
+    class SerialPool:
+        """Stands in for a fork pool: records its size, maps in process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, bounds):
+            chunks.append(list(bounds))
+            return [fn(b) for b in bounds]
+
+    class SerialContext:
+        Pool = SerialPool
+
+    sizes, chunks = [], []
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: SerialContext())
+    monkeypatch.setattr(exp.os, "cpu_count", lambda: 2)
+    assert exp.t_sum(5000, threads=8) == want_t
+    assert exp.s_avg(3000, threads=10**9) == want_s
+    assert sizes == [2, 2]
+    assert chunks[0] == [(1, 2501), (2501, 5001)]
+    # a range shorter than the worker count gets one worker per integer
+    monkeypatch.setattr(exp.os, "cpu_count", lambda: 64)
+    assert exp.t_sum(3, threads=64) == exp.t_sum(3)
+    assert sizes[-1] == 3
+
+
 def test_s_avg():
     assert exp.s_avg(1) == 1.0
     assert exp.s_avg(4) == pytest.approx(1.5)  # delta: 1, 2, 1, 2

@@ -235,6 +235,12 @@ def test_Lambda_monte_carlo_brackets_exact():
         Lambda_kd(2, 30, method="mc")  # seed required
 
 
+def test_Lambda_mc_needs_samples():
+    for samples in (0, -5):
+        with pytest.raises(DomainError):
+            Lambda_kd(5, 30, method="mc", samples=samples, seed=1)
+
+
 def test_Lambda_mc_deterministic():
     a = Lambda_kd(5, 30, method="mc", samples=50_000, seed=7)
     b = Lambda_kd(5, 30, method="mc", samples=50_000, seed=7)

@@ -12,6 +12,7 @@ from divilab import (
     DomainError,
     GeneratorSet,
     INFINITE,
+    ResourceError,
     alpha0,
     behrend_ineq_check,
     block_builder,
@@ -28,6 +29,7 @@ from divilab import (
     sequential_density,
 )
 import divilab.multiples as multiples_mod
+from divilab.density import exact_density
 from divilab.multiples import (
     SIGMA0,
     _bonferroni_sums,
@@ -37,6 +39,7 @@ from divilab.multiples import (
 )
 
 from oracles import (
+    friable_m_bracket,
     naive_bonferroni,
     naive_ie_sums,
     naive_in_ME,
@@ -322,6 +325,75 @@ def test_m_of_y():
     est = m_of_y(GeneratorSet(interval=(1, 200)), 5)
     assert est.point == pytest.approx(11 / 15, abs=1e-3)
     assert m_of_y(GeneratorSet(), 5).point == 0.0
+
+
+# (generators, y): sets whose m(y) the valuation DP gives in under 0.3 s
+M_OF_Y_GRID = [
+    ([2], 3), ([2, 3], 5), ([4, 9], 7), (range(2, 201), 5),
+    (range(1001, 1031), 7), (range(1001, 1031), 13), (range(1001, 1031), 47),
+    (range(1001, 1031), 97), (range(1000, 1100), 11),
+]
+
+
+@pytest.mark.parametrize("gens, y", M_OF_Y_GRID)
+def test_m_of_y_within_friable_sum(gens, y):
+    est = m_of_y(GeneratorSet(gens), y)
+    assert est.method == "exact_ie" and isinstance(est.exact, Fraction)
+    assert est.lower == est.point == est.upper == float(est.exact)
+    assert est.params == {"y": y}
+    point, upper = friable_m_bracket(list(gens), y, 10**6)
+    assert point <= est.exact <= upper
+
+
+def test_m_of_y_all_integers():
+    # every y-friable r >= 2 is a multiple of some generator
+    for y in (2, 3, 5, 7, 11, 13, 30):
+        primes = [p for p in range(2, y + 1) if trial_factor(p) == [(p, 1)]]
+        want = 1 - math.prod((1 - Fraction(1, p) for p in primes), start=Fraction(1))
+        for bound in (y, y + 1, 2 * y + 5):
+            assert m_of_y(GeneratorSet(range(2, bound + 1)), y).exact == want
+
+
+def _friable_part(gens, y):
+    return [a for a in gens if all(p <= y for p, _ in trial_factor(a))]
+
+
+def test_m_of_y_period_count():
+    assert m_of_y(GeneratorSet([7]), 7).exact == Fraction(1, 7)
+    assert m_of_y(GeneratorSet([2, 7]), 5).exact == Fraction(1, 2)
+    assert m_of_y(GeneratorSet([11, 13]), 7).exact == 0
+    rng = random.Random(2024)
+    cases = 0
+    while cases < 40:
+        gens = rng.sample(range(2, 80), rng.randint(1, 6))
+        y = rng.choice((2, 3, 5, 7, 11, 13, 17))
+        ay = _friable_part(gens, y)
+        L = math.lcm(*ay)
+        if L > 50_000:
+            continue
+        cases += 1
+        want = Fraction(naive_multiples_count(ay, L), L)
+        assert m_of_y(GeneratorSet(gens), y).exact == want, (gens, y)
+
+
+def test_m_of_y_errors(monkeypatch):
+    with pytest.raises(DomainError):
+        m_of_y(GeneratorSet([2]), 1)
+    monkeypatch.setattr(multiples_mod, "MAX_DP_STATES", 50)
+    with pytest.raises(ResourceError):
+        m_of_y(GeneratorSet(interval=(1000, 1030)), 97)
+
+
+def test_behrend_compares_fractions(monkeypatch):
+    _, _, ok = behrend_ineq_check(GeneratorSet([2]), GeneratorSet([3]))
+    assert ok is True  # equality, decided exactly
+    # lhs = 1/4 - 10^-15 < rhs = 1/4: inside a float slack, false as Fractions
+    dens = iter([Fraction(1, 2), Fraction(1, 2), Fraction(3, 4) + Fraction(1, 10**15)])
+    monkeypatch.setattr(multiples_mod, "density_bracket",
+                        lambda G, method: exact_density(next(dens)))
+    lhs, rhs, ok = behrend_ineq_check(GeneratorSet([2]), GeneratorSet([3]))
+    assert ok is False
+    assert rhs == 0.25 and rhs - lhs == pytest.approx(1e-15)
 
 
 def test_E_membership_examples():
