@@ -1,7 +1,10 @@
 """Factorization, divisor enumeration, and the elementary arithmetic functions.
 
 Everything here is a pure function of a Factored value (or of the sieve),
-so concurrent evaluation over disjoint integers is safe.
+so concurrent evaluation over disjoint integers is safe.  The module imports
+no numpy: the window and table paths (`factor_window`, `psi1_count`) import
+it when called, so a single-n query (`factor_int`, `divisors`) starts without
+it.
 """
 
 from __future__ import annotations
@@ -9,12 +12,12 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .errors import DEFAULT_LIMIT_CAP, DomainError, ResourceError
 
-from .errors import DomainError, ResourceError
-from .sieve import DEFAULT_LIMIT_CAP, SpfSieve, segments
-from .tables import _check_cap, _spf_walk
+if TYPE_CHECKING:
+    from .sieve import SpfSieve
 
 DEFAULT_DIVISOR_CAP = 10**6
 
@@ -104,10 +107,11 @@ def factor_window(lo: int, hi: int) -> Iterator[Factored]:
     out of their multiples; a cofactor > 1 left over is a single prime.
     Time O(sqrt(hi) + (hi - lo) log log hi), memory O(SEGMENT).
     """
-    if not 1 <= lo <= hi:
-        raise DomainError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
-    if hi > DEFAULT_LIMIT_CAP:
-        raise ResourceError(f"sieve limit {hi} exceeds cap {DEFAULT_LIMIT_CAP}")
+    _check_window(lo, hi)
+    import numpy as np
+
+    from .sieve import segments
+
     for a, b, ps, starts in segments(lo, hi):
         rest = np.arange(a, b, dtype=np.int64)
         pairs: list[list[tuple[int, int]]] = [[] for _ in range(b - a)]
@@ -128,8 +132,23 @@ def factor_window(lo: int, hi: int) -> Iterator[Factored]:
             yield Factored(n, tuple(fs))
 
 
+def _check_window(lo: int, hi: int) -> None:
+    """The errors `factor_window(lo, hi)` raises before it walks its window:
+    DomainError unless 1 <= lo <= hi, ResourceError past DEFAULT_LIMIT_CAP."""
+    if not 1 <= lo <= hi:
+        raise DomainError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
+    if hi > DEFAULT_LIMIT_CAP:
+        raise ResourceError(f"sieve limit {hi} exceeds cap {DEFAULT_LIMIT_CAP}")
+
+
 def factor_int(n: int) -> Factored:
-    """Sieve-free trial-division factorization (for occasional large inputs)."""
+    """Factor one n by trial division to sqrt(n): O(sqrt(n)) time, O(1) memory,
+    no sieve and no numpy.
+
+    This is the single-n path: for 1 <= n <= DEFAULT_LIMIT_CAP it returns the
+    same Factored as next(factor_window(n, n)), and the CLI calls it after
+    _check_window(n, n).  It takes any n >= 1; beyond the cap it is slow
+    (about sqrt(n)/2 divisions), not refused."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     m = n
@@ -230,6 +249,10 @@ def basic_fns(f: Factored) -> ArithValues:
 
 def psi1_count(x: int, y: int) -> int:
     """Number of squarefree n <= x with largest prime factor <= y (P^+(1)=1 counts)."""
+    import numpy as np
+
+    from .tables import _check_cap, _spf_walk
+
     _check_cap(x)
     if y < 2:
         raise DomainError(f"need y >= 2, got {y}")

@@ -4,6 +4,11 @@ Exit codes: 0 success, 2 domain error, 3 resource cap, 64 usage.
 Records are emitted as JSON with 12-significant-digit floats (or CSV tables
 with '.' decimals); reruns with the same config and seed are byte-identical
 except for the wall_time field.
+
+Every line is a fresh process, so the module level imports only what loads
+without numpy; each handler imports the array modules it needs (`sieve`,
+`locallaws`, `experiments`).  `fn --n` and the exact and Bonferroni
+densities of `multiples` never load numpy.
 """
 
 from __future__ import annotations
@@ -20,10 +25,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .arith import INFINITE, divisors, factor_window
+from .arith import INFINITE, Factored, _check_window, divisors, factor_int, factor_window
 from .divgeom import OscWeight, RatioWeight, delta, delta_osc, e_r, f_theta, g_sum, tau_plus
 from .errors import DomainError, ResourceError, UsageError
-from .locallaws import Lambda_kd, lambda_row, median_prime_detail, lambda_mode
 from .multiples import (
     GeneratorSet,
     block_builder,
@@ -33,8 +37,6 @@ from .multiples import (
     sequential_density,
     sieve_density,
 )
-from .sieve import SpfSieve, build_sieve
-from . import experiments as exp
 
 
 def _fmt(v):
@@ -228,6 +230,8 @@ def _csv(rows: list[tuple], header: tuple[str, ...]) -> str:
 # subcommand handlers: return (record, optional csv (header, rows))
 
 def _run_sieve(args, cfg):
+    from .sieve import SpfSieve, build_sieve
+
     cache = cfg.cache_path
     sv = SpfSieve.load(cache) if cache and Path(cache).exists() else None
     if sv is None or sv.limit < args.limit:
@@ -251,6 +255,13 @@ def _parse_what(what: str):
     raise UsageError(f"unknown --what {what!r}")
 
 
+def _factor_one(n: int) -> Factored:
+    """next(factor_window(n, n)) by trial division: the same Factored and the
+    same errors, without a window or numpy."""
+    _check_window(n, n)
+    return factor_int(n)
+
+
 def _run_fn(args, cfg):
     kind, param = _parse_what(args.what)
     if args.n is None and not args.nrange:
@@ -264,7 +275,7 @@ def _run_fn(args, cfg):
     mu_w = OscWeight.moebius()
     rows = []
     skipped = 0
-    for f in factor_window(lo, hi):
+    for f in factor_window(lo, hi) if args.nrange else [_factor_one(lo)]:
         n = f.n
         spec = divisors(f)
         try:
@@ -293,6 +304,8 @@ def _run_fn(args, cfg):
 
 
 def _run_lambda(args, cfg):
+    from .locallaws import lambda_mode, lambda_row, median_prime_detail
+
     if args.mode:
         if not args.p:
             raise UsageError("--mode needs --p")
@@ -322,6 +335,8 @@ def _run_lambda(args, cfg):
 
 
 def _run_lambdad(args, cfg):
+    from .locallaws import Lambda_kd
+
     if args.method == "mc" and cfg.seed is None:
         raise UsageError("--method mc requires --seed")
     est = Lambda_kd(args.k, args.d, method=args.method,
@@ -381,6 +396,8 @@ def _run_multiples(args, cfg):
 
 
 def _parse_theta(text: str):
+    from . import experiments as exp
+
     if text == "golden":
         return exp.golden_ratio_fraction()
     if text == "sqrt2":
@@ -394,6 +411,9 @@ def _parse_theta(text: str):
 
 
 def _run_exp(args, cfg):
+    from . import experiments as exp
+    from .locallaws import median_prime_detail
+
     preset = args.preset
     if preset == "median-primes":
         ks = _numbers(args.k or "2,3")
@@ -451,7 +471,7 @@ def _run_exp(args, cfg):
     if preset == "dtheta":
         theta = _parse_theta(args.theta)
         n = 12 if args.n is None else args.n
-        f = next(factor_window(n, n))
+        f = _factor_one(n)
         val, d_at = exp.dtheta_min(f, theta)
         vals = {"n": n, "min": val, "argmin_d": d_at, "tag": "exact"}
         if isinstance(theta, Fraction):

@@ -1,8 +1,17 @@
-"""Error taxonomy shared by the library and the CLI.
+"""Error taxonomy and resource caps shared by the library and the CLI.
 
 The CLI maps these onto exit codes: DomainError -> 2, ResourceError -> 3,
-UsageError -> 64.
+UsageError -> 64.  The caps live here, beside ResourceError, because this
+module imports nothing: the CLI checks them without loading numpy.
 """
+
+# Largest integer an SPF table or a factored window reaches.  Construction
+# allocates one 4-byte cell per integer (8 bytes above 2**32); the cap keeps
+# a full build comfortably inside a few GB of RAM.
+DEFAULT_LIMIT_CAP = 400_000_000
+
+# Largest x of a whole-range table or scan over 1..x.
+DEFAULT_SCAN_CAP = 200_000_000
 
 
 class DivilabError(Exception):

@@ -11,6 +11,11 @@ the primitive set of quotients still to be matched, split into independent
 groups whenever no base element links them.  It is exact for every set it
 finishes; a set whose DP would exceed MAX_DP_STATES states raises
 ResourceError instead.
+
+The exact engine and the Bonferroni sums are pure Python, so the module
+imports no numpy: the scans up to x (`multiples_count` and its callers,
+`log_density`, `criterion4_scan`, `max_gap`) and `m_of_y`'s prime list
+import `tables` or `sieve`, and with them numpy, when called.
 """
 
 from __future__ import annotations
@@ -20,13 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .arith import INFINITE, Factored, divisors
 from .density import DensityEstimate, exact_density
-from .errors import ConstraintError, DomainError, ResourceError
-from .sieve import primes_upto
-from .tables import DEFAULT_SCAN_CAP, _check_cap, multiples_mask
+from .errors import DEFAULT_SCAN_CAP, ConstraintError, DomainError, ResourceError
 
 MAX_EXACT_GENERATORS = 24
 MAX_DP_STATES = 10**6
@@ -77,6 +78,10 @@ class GeneratorSet:
 
 def multiples_count(A: GeneratorSet, x: int) -> int:
     """|M(A) ∩ [1, x]| by boolean-marking multiples of each generator."""
+    import numpy as np
+
+    from .tables import _check_cap, multiples_mask
+
     _check_cap(x)
     mask = multiples_mask(A.elements, x)
     return int(np.count_nonzero(mask[1:]))
@@ -355,6 +360,10 @@ def sieve_density(A: GeneratorSet, x: int) -> DensityEstimate:
 
 def log_density(A: GeneratorSet, x: int) -> DensityEstimate:
     """(sum_{n<=x, n in M(A)} 1/n) / ln x, for x >= 2."""
+    import numpy as np
+
+    from .tables import _check_cap, multiples_mask
+
     if x < 2:
         raise DomainError(f"log density needs x >= 2, got {x}")
     _check_cap(x)
@@ -406,6 +415,10 @@ def d1(n: int, A: GeneratorSet, f: Factored | None = None):
 def criterion4_scan(A: GeneratorSet, eps: float, x: int) -> float:
     """Empirical frequency of n <= x with n^{1-eps} < d_1(n, A) <= n: the
     obstruction measure for natural-density existence."""
+    import numpy as np
+
+    from .tables import _check_cap
+
     if not 0.0 < eps < 1.0:
         raise DomainError(f"need 0 < eps < 1, got {eps}")
     _check_cap(x)
@@ -424,9 +437,11 @@ def criterion4_scan(A: GeneratorSet, eps: float, x: int) -> float:
 
 def behrend_ineq_check(A: GeneratorSet, B: GeneratorSet) -> tuple[float, float, bool]:
     """Both sides of 1 - dM(A ∪ B) >= (1 - dM(A))(1 - dM(B)) from exact
-    densities, compared as Fractions."""
-    union = GeneratorSet(set(A.elements) | set(B.elements))
-    da, db, du = (density_bracket(G, method="exact_ie").exact for G in (A, B, union))
+    densities, compared as Fractions.  The densities come straight from the
+    valuation DP, so only MAX_DP_STATES bounds the sets, not a generator
+    count."""
+    union = set(A.elements) | set(B.elements)
+    da, db, du = (_valuation_density(G) for G in (A.elements, B.elements, union))
     lhs = 1 - du
     rhs = (1 - da) * (1 - db)
     return float(lhs), float(rhs), lhs >= rhs
@@ -533,6 +548,8 @@ def m_of_y(A: GeneratorSet, y: int) -> DensityEstimate:
     probability prod_{p<=y}(1 - 1/p) / r, and n lies in M(A_y) exactly when
     that part does, so m(y) = d M(A_y), which the valuation DP computes (0
     when A_y is empty).  Raises ResourceError past MAX_DP_STATES states."""
+    from .sieve import primes_upto
+
     if y < 2:
         raise DomainError(f"need y >= 2, got {y}")
     ps = primes_upto(y).tolist()
@@ -598,6 +615,10 @@ def remainder_Rn(n: int, x: int, x_ref: int = 10**8) -> tuple[float, float, floa
 def max_gap(n: int, X: int) -> tuple[int, int]:
     """Largest gap between consecutive elements of M((n, 2n]) ∩ [1, X] and
     the left endpoint where it occurs."""
+    import numpy as np
+
+    from .tables import _check_cap, multiples_mask
+
     _check_cap(X)
     A = GeneratorSet(interval=(n, 2 * n))
     mask = multiples_mask(A.elements, X)

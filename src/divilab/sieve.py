@@ -25,11 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
-
-# Construction allocates one 4-byte cell per integer (8 bytes above 2**32);
-# the default cap keeps a full build comfortably inside a few GB of RAM.
-DEFAULT_LIMIT_CAP = 400_000_000
+from .errors import DEFAULT_LIMIT_CAP, DomainError, ResourceError
 
 # Integers per segment of `segments`.  A factored window holds a list of
 # prime powers per integer of its current segment: factoring 10^6 integers

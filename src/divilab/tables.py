@@ -25,10 +25,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import DEFAULT_SCAN_CAP, DomainError, ResourceError
 from .sieve import SpfSieve
 
-DEFAULT_SCAN_CAP = 200_000_000
 _WALK_CHUNK = 1 << 20  # bounds the per-chunk temporaries
 
 

@@ -13,7 +13,8 @@ from divilab import (
     factor,
     psi1_count,
 )
-from divilab.arith import divisor_mobius, factor_int
+from divilab.arith import divisor_mobius, factor_int, factor_window
+from divilab.sieve import DEFAULT_LIMIT_CAP
 
 from oracles import naive_mu, naive_phi, naive_psi1, trial_divisors
 
@@ -22,6 +23,21 @@ def test_factor_examples(sieve_1e4):
     assert factor(1, sieve_1e4).factors == ()
     assert factor(12, sieve_1e4).factors == ((2, 2), (3, 1))
     assert factor_int(9699690).factors == tuple((p, 1) for p in (2, 3, 5, 7, 11, 13, 17, 19))
+
+
+# the `fn --n` inputs of the benchmark's CLI session at seed 41
+SESSION_NS = (2785635, 3870827, 4643704, 4755633, 5573808, 6392468, 6434803, 6469795,
+              6741802, 9278800, 9696209, 19009781, 19261169, 19604428, 19693717, 19767163,
+              19800329, 19819157, 19893348, 39019224, 39157113, 39162581, 39460738,
+              39880067, 39994893)
+
+
+@pytest.mark.parametrize("n", (1, 2, 4, 720720, 9973**2, 6323 * 6329, 39999983,
+                               DEFAULT_LIMIT_CAP, *SESSION_NS))
+def test_factor_int_matches_window(n):
+    """The CLI's single-n route (trial division) and its range route (the
+    segmented window) give the same Factored."""
+    assert factor_int(n) == next(factor_window(n, n))
 
 
 def test_divisor_examples(sieve_1e4):

@@ -233,6 +233,12 @@ FN_VALUES = {
     19500001: ("1", "1", "4", "0.0192787169601", "4.67282883446", "16.7859250748", "0"),
     39500001: ("4", "2", "23", "18.7553832973", "0.0546719990329", "0.815036998169",
                "0.53125"),
+    # 6323 * 6329, 9973^2, a prime and the cap, as the window route printed them
+    40018267: ("2", "2", "3", "0.999368288487", "0.000948466716691", "17.5048465828", "0.25"),
+    99460729: ("1", "1", "3", "0.000200541461947", "9.2076367204", None, "0"),
+    39999983: ("1", "1", "2", "2.5000010625e-08", "17.5043895871", None, "0"),
+    DEFAULT_LIMIT_CAP: ("9", "2", "30", "80.8545", "0.0237165266173", "0.246860077932",
+                        "0.949494949495"),
 }
 
 
@@ -292,14 +298,16 @@ def test_lambda_row_csv_fixed(capsys):
 
 
 def test_fn_above_cap_exits_3(capsys, monkeypatch):
-    # refused before any window is walked or sieve built
-    monkeypatch.setattr("divilab.arith.segments", None)
+    # refused before any window is walked, n trial-divided or sieve built
+    monkeypatch.setattr("divilab.sieve.segments", None)
+    monkeypatch.setattr("divilab.cli.factor_int", None)
     monkeypatch.setattr(SpfSieve, "build", None)
     for n in (DEFAULT_LIMIT_CAP + 1, 2**31 - 1):
-        code, out = run(capsys, "fn", "--n", str(n), "--what", "delta")
-        assert (code, out) == (3, "")
-    code, _ = run(capsys, "exp", "--preset", "dtheta", "--n", str(2**31 - 1))
-    assert code == 3
+        want_err = f"resource error: sieve limit {n} exceeds cap {DEFAULT_LIMIT_CAP}\n"
+        for argv in (("fn", "--n", str(n), "--what", "delta"),
+                     ("exp", "--preset", "dtheta", "--n", str(n))):
+            code = dispatch(list(argv))
+            assert (code, *capsys.readouterr()) == (3, "", want_err), argv
 
 
 def test_queries_touch_no_sieve(tmp_path, monkeypatch, capsys):
@@ -447,3 +455,43 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _cli_child(*argv):
+    """Run `python -X importtime -m divilab.cli ARGV` in a fresh interpreter;
+    return the completed process and the top-level packages it imported."""
+    env = dict(os.environ)
+    src = str(Path(divilab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("DIVILAB_CACHE", None)
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "divilab.cli", *argv],
+                          env=env, capture_output=True, text=True)
+    # importtime writes one "import time: self | cumulative | name" line per module
+    loaded = {line.rsplit("|", 1)[1].strip().split(".")[0]
+              for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    return proc, loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ("fn", "--n", "12", "--what", "g"),
+    ("fn", "--n", "39999983", "--what", "delta"),
+    ("multiples", "--interval", "4:8", "--density", "exact"),
+    ("multiples", "--gens", "6,10,15", "--density", "bonferroni:1"),
+])
+def test_cli_lines_load_no_numpy(argv):
+    """Lines that need no arrays run without importing numpy."""
+    proc, loaded = _cli_child(*argv)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert "numpy" not in loaded
+    assert "divilab" in loaded  # the probe sees the package's own imports
+
+
+def test_cli_array_line_still_runs():
+    """A line that needs arrays imports them in its handler and prints its
+    fixed output."""
+    proc, loaded = _cli_child("lambda", "--k", "1", "--pmax", "100")
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert "numpy" in loaded
+    assert len(proc.stdout.splitlines()) == 26
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest == "a614051861c3bd5220805411a649871ee365016180228b2fb5190f48f348be42"

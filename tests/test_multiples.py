@@ -29,7 +29,6 @@ from divilab import (
     sequential_density,
 )
 import divilab.multiples as multiples_mod
-from divilab.density import exact_density
 from divilab.multiples import (
     SIGMA0,
     _bonferroni_sums,
@@ -389,11 +388,28 @@ def test_behrend_compares_fractions(monkeypatch):
     assert ok is True  # equality, decided exactly
     # lhs = 1/4 - 10^-15 < rhs = 1/4: inside a float slack, false as Fractions
     dens = iter([Fraction(1, 2), Fraction(1, 2), Fraction(3, 4) + Fraction(1, 10**15)])
-    monkeypatch.setattr(multiples_mod, "density_bracket",
-                        lambda G, method: exact_density(next(dens)))
+    monkeypatch.setattr(multiples_mod, "_valuation_density", lambda G: next(dens))
     lhs, rhs, ok = behrend_ineq_check(GeneratorSet([2]), GeneratorSet([3]))
     assert ok is False
     assert rhs == 0.25 and rhs - lhs == pytest.approx(1e-15)
+
+
+def test_behrend_past_generator_cap():
+    """A has 30 primitive generators, past MAX_EXACT_GENERATORS, which
+    density_bracket's exact_ie refuses; the DP answers it."""
+    A = GeneratorSet(range(1001, 1031))
+    assert len(A.reduce()) > multiples_mod.MAX_EXACT_GENERATORS
+    with pytest.raises(ResourceError):
+        density_bracket(A, method="exact_ie")
+    lhs, rhs, ok = behrend_ineq_check(A, GeneratorSet([2]))
+    assert ok is True
+    # the union reduces to 2 and the 15 odd members: 16 generators
+    union = GeneratorSet([2, *range(1001, 1031, 2)])
+    assert lhs == float(1 - density_bracket(union, method="exact_ie").exact)
+    dA = 1 - 2 * rhs  # rhs = (1 - dM(A)) (1 - 1/2)
+    assert dA == pytest.approx(0.0286149, abs=1e-7)
+    bracket = density_bracket(A, method="bonferroni", depth=1)
+    assert bracket.lower <= dA <= bracket.upper
 
 
 def test_E_membership_examples():

@@ -242,6 +242,6 @@ def test_factor_window_errors(monkeypatch):
     with pytest.raises(DomainError):
         next(factor_window(7, 6))
     # the cap is checked before the window is walked
-    monkeypatch.setattr("divilab.arith.segments", None)
+    monkeypatch.setattr("divilab.sieve.segments", None)
     with pytest.raises(ResourceError):
         next(factor_window(sieve_mod.DEFAULT_LIMIT_CAP + 1, sieve_mod.DEFAULT_LIMIT_CAP + 1))
