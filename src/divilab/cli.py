@@ -335,10 +335,11 @@ def _run_lambda(args, cfg):
 
 
 def _run_lambdad(args, cfg):
-    from .locallaws import Lambda_kd
+    from .locallaws import Lambda_kd, _exact_gens
 
-    if args.method == "mc" and cfg.seed is None:
-        raise UsageError("--method mc requires --seed")
+    # Monte Carlo needs a seed, whether asked for or the default past the exact cap
+    if cfg.seed is None and _exact_gens(args.d, args.method) is None:
+        raise UsageError(f"the Monte Carlo route at d={args.d} requires --seed")
     est = Lambda_kd(args.k, args.d, method=args.method,
                     samples=args.samples, seed=cfg.seed)
     rec = ResultRecord("lambdad", {"k": args.k, "d": args.d,

@@ -13,6 +13,7 @@ from .errors import DomainError
 
 # Method tags in use.  "exact_ie" is the exact density of a finite set of
 # multiples from the valuation DP (multiples.py), so lower == upper always.
+# "exact_period" is Lambda_k(d) (locallaws.py), exact from the subset-lcm DP.
 METHODS = (
     "exact_ie",
     "exact_period",

@@ -24,6 +24,7 @@ import numpy as np
 
 from .density import DensityEstimate, exact_density
 from .errors import DomainError, ResourceError
+from .multiples import _bonferroni_sums, _check_lcm_work
 from .sieve import is_prime_u64, primes_upto
 
 # Primes per block of the column DP.  A sweep that keeps its table holds J
@@ -278,35 +279,24 @@ def unimodal_check(p: int) -> bool:
 # ---------------------------------------------------------------------------
 # local law of the k-th divisor
 
-EXACT_PERIOD_MAX_D = 20  # lcm(1..20) = 232792560 keeps the period walk in seconds
-
-_exact_cache: dict[int, dict[int, Fraction]] = {}
-
-
-def _exact_period_row(d: int) -> dict[int, Fraction]:
-    """Exact densities {k: Lambda_k(d)} by walking multiples of d through one
-    full period L = lcm(1..d) and counting divisors below d."""
-    if d in _exact_cache:
-        return _exact_cache[d]
-    if d == 1:
-        row = {1: Fraction(1)}
-    else:
-        L = 1
-        for m in range(2, d + 1):
-            L = L * m // math.gcd(L, m)
-        nmult = L // d
-        counts = np.zeros(d + 2, dtype=np.int64)
-        chunk = 1 << 20
-        for start in range(0, nmult, chunk):
-            stop = min(start + chunk, nmult)
-            r = np.arange(start + 1, stop + 1, dtype=np.int64) * d
-            k = np.full(stop - start, 2, dtype=np.int64)  # divisors 1 and d
-            for m in range(2, d):
-                k += r % m == 0
-            counts += np.bincount(k, minlength=d + 2)
-        row = {int(k): Fraction(int(c), L) for k, c in enumerate(counts) if c}
-    _exact_cache[d] = row
-    return row
+def _exact_gens(d: int, method: str | None) -> list[int] | None:
+    """The q_m = m / gcd(m, d) of the m < d not dividing d when Lambda_kd at d
+    is exact, None when it is Monte Carlo: exact by default while their lcm
+    DP fits its cap.  Past it "exact" raises ResourceError, as does d > 10000."""
+    if method not in (None, "exact", "mc"):
+        raise DomainError(f"unknown Lambda method {method!r}")
+    if d > 10_000:
+        raise ResourceError(f"Lambda_kd's cost grows with d; d={d} > 10000")
+    if method == "mc":
+        return None
+    gens = [m // math.gcd(m, d) for m in range(2, d) if d % m]
+    try:
+        _check_lcm_work(gens, len(gens))
+    except ResourceError:
+        if method == "exact":
+            raise
+        return None
+    return gens
 
 
 def Lambda_kd(
@@ -318,41 +308,38 @@ def Lambda_kd(
 ) -> DensityEstimate:
     """Density of integers whose k-th smallest divisor is d.
 
-    d <= 20 uses the exact residue-period count (d_k(n) = d depends only on
-    n mod lcm(1..d)); larger d falls back to Monte Carlo over random 64-bit
-    integers with a Wilson 95% bracket.  Positivity: tau(d) <= k <= d.
+    Write n = d r.  The divisors of n up to d are the tau(d) divisors of d and
+    the m < d with m not dividing d and q_m = m / gcd(m, d) dividing r, so
+    Lambda_k(d) = P(N = k - tau(d)) / d, N the number of those q_m dividing a
+    random r.  The subset-lcm DP gives S_j = sum over j-subsets of the q_m of
+    1 / lcm exactly, and E[(1 + t)^N] = sum_j S_j t^j with S_0 = 1, so
+
+        P(N = i) = sum_{j >= i} (-1)^(j - i) C(j, i) S_j.
+
+    That is the exact route (tag exact_period) while the DP fits
+    multiples.MAX_LCM_VISITS, so for d <= 30 and d = 32; past it the default
+    is Monte Carlo with a Wilson 95% bracket.  Positivity: tau(d) <= k <= d.
     """
     if k < 1 or d < 1:
         raise DomainError(f"need k >= 1 and d >= 1, got k={k}, d={d}")
-    if method is None:
-        method = "exact" if d <= EXACT_PERIOD_MAX_D else "mc"
-    if method == "exact":
-        if d > EXACT_PERIOD_MAX_D:
-            raise ResourceError(
-                f"exact period walk supports d <= {EXACT_PERIOD_MAX_D}; "
-                f"lcm(1..{d}) is out of reach"
-            )
-        val = _exact_period_row(d).get(k, Fraction(0))
-        return exact_density(val, method="exact_period", d=d, k=k)
-    if method != "mc":
-        raise DomainError(f"unknown Lambda method {method!r}")
+    gens = _exact_gens(d, method)
+    if gens is not None:
+        i = k - (d - len(gens))  # k - tau(d): the m <= d left out of gens divide d
+        p = 0
+        if 0 <= i <= len(gens):
+            S = _bonferroni_sums(gens, len(gens))
+            S[0] = Fraction(1)
+            p = sum((-1) ** (j - i) * math.comb(j, i) * S[j] for j in range(i, len(S)))
+        return exact_density(Fraction(p, d), method="exact_period", d=d, k=k)
     if seed is None:
         raise DomainError("monte carlo Lambda_kd requires a seed")
     if samples < 1:
         raise DomainError(f"need samples >= 1, got {samples}")
-    if d > 10_000:
-        raise ResourceError(f"monte carlo cost grows with d; d={d} > 10000")
     rng = np.random.Generator(np.random.Philox(seed))
     hits = 0
-    total = 0
-    batch = 1 << 16
-    while total < samples:
-        size = min(batch, samples - total)
-        n = rng.integers(1, 1 << 63, size=size, dtype=np.int64)
-        total += size
+    for start in range(0, samples, 1 << 16):
+        n = rng.integers(1, 1 << 63, size=min(1 << 16, samples - start), dtype=np.int64)
         nd = n[n % d == 0]
-        if len(nd) == 0:
-            continue
         cnt = np.full(len(nd), 2 if d > 1 else 1, dtype=np.int64)
         for m in range(2, d):
             cnt += nd % m == 0

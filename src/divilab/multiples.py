@@ -20,6 +20,7 @@ import `tables` or `sieve`, and with them numpy, when called.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +32,7 @@ from .errors import DEFAULT_SCAN_CAP, ConstraintError, DomainError, ResourceErro
 
 MAX_EXACT_GENERATORS = 24
 MAX_DP_STATES = 10**6
+MAX_LCM_VISITS = 3_000_000  # work cap of the subset-lcm DP (_bonferroni_sums)
 
 
 class GeneratorSet:
@@ -288,6 +290,22 @@ def _bonferroni_visits(gens: Sequence[int], maxsize: int) -> int:
     return n * sum(min(math.comb(n, k), T) for k in range(maxsize))
 
 
+def _check_lcm_work(gens: Sequence[int], maxsize: int) -> None:
+    """Raise ResourceError, before any lcm is formed, unless
+    _bonferroni_sums(gens, maxsize) stays within MAX_LCM_VISITS: past that
+    many subsets, the DP's visit bound (_bonferroni_visits) decides.  D
+    distinct generators are D distinct lcms, so a set past the floor below
+    is past that bound too, and fails without its coprime base."""
+    n, distinct = len(gens), len(set(gens))
+    combs = list(itertools.accumulate(range(maxsize), lambda c, k: c * (n - k) // (k + 1),
+                                      initial=1))  # C(n, k) for k <= maxsize
+    if sum(combs[1:]) > MAX_LCM_VISITS and (
+            n * sum(min(c, distinct) for c in combs[:-1]) > MAX_LCM_VISITS
+            or _bonferroni_visits(gens, maxsize) > MAX_LCM_VISITS):
+        raise ResourceError(f"the lcm DP to subset size {maxsize} over {n} generators "
+                            f"may pass {MAX_LCM_VISITS} lcm visits")
+
+
 def density_bracket(A: GeneratorSet, method: str = "auto", depth: int = 3) -> DensityEstimate:
     """Natural density of M(A) with a rigorous bracket.
 
@@ -301,8 +319,7 @@ def density_bracket(A: GeneratorSet, method: str = "auto", depth: int = 3) -> De
     bound).  The sums S_k run one level further, to the other side of the
     bracket, and come exact from a DP over subset sizes and lcms
     (_bonferroni_sums), not a walk over subsets.  Before any work it raises
-    ResourceError when the levels count more than 3 000 000 subsets and the
-    DP's visit bound (_bonferroni_visits) is also above 3 000 000.
+    ResourceError when that DP may pass MAX_LCM_VISITS (_check_lcm_work).
     auto: exact_ie up to MAX_EXACT_GENERATORS generators, bonferroni beyond.
     """
     A = A.reduce()
@@ -321,14 +338,7 @@ def density_bracket(A: GeneratorSet, method: str = "auto", depth: int = 3) -> De
         if depth < 0:
             raise DomainError(f"need depth >= 0, got {depth}")
         maxsize = min(depth + 2, n)  # one extra level gives the two-sided bracket
-        terms = sum(math.comb(n, k) for k in range(1, maxsize + 1))
-        if terms > 3_000_000:
-            visits = _bonferroni_visits(A.elements, maxsize)
-            if visits > 3_000_000:
-                raise ResourceError(
-                    f"bonferroni depth {depth} over {n} generators needs {terms} "
-                    f"subset terms and up to {visits} lcm visits; lower the depth"
-                )
+        _check_lcm_work(A.elements, maxsize)
         sums = _bonferroni_sums(A.elements, maxsize)
         partial = Fraction(0)
         partials = []
@@ -589,13 +599,13 @@ def in_ME(n: int) -> bool:
     return False
 
 
-def remainder_Rn(n: int, x: int, x_ref: int = 10**8) -> tuple[float, float, float]:
+def remainder_Rn(n: int, x: int) -> tuple[float, float, float]:
     """Remainder R_n(x) = |M([n, 2n]) ∩ [1, x]| - eps_n * x, with the
     eps_n bracket propagated into (R, R_lower, R_upper).
 
     eps_n is exact when the interval has at most 24 integers after
     primitive reduction, which drops 2n and keeps n of them, so for n <= 24;
-    otherwise it is a long-count estimate at min(x_ref, cap)."""
+    otherwise it is a long-count estimate at 10^8."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     if n == 1:
@@ -607,7 +617,7 @@ def remainder_Rn(n: int, x: int, x_ref: int = 10**8) -> tuple[float, float, floa
     if len(red) <= MAX_EXACT_GENERATORS:
         est = density_bracket(red, method="exact_ie")
     else:
-        est = sieve_density(red, min(x_ref, DEFAULT_SCAN_CAP // 2))
+        est = sieve_density(red, 10**8)
     r = cnt - est.point * x
     return r, cnt - est.upper * x, cnt - est.lower * x
 

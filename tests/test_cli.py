@@ -437,6 +437,11 @@ def test_bad_counts_exit_codes(tmp_path, capsys):
         (("exp", "--preset", "tsum", "--x", "100", "--config", str(cfg)), 64),
         (("lambdad", "--k", "5", "--d", "21", "--method", "mc", "--samples", "0",
           "--seed", "1"), 2),
+        # a missing seed is a usage error on the default route past the exact cap too
+        (("lambdad", "--k", "5", "--d", "31"), 64),
+        (("lambdad", "--k", "5", "--d", "31", "--method", "mc"), 64),
+        (("lambdad", "--k", "5", "--d", "40"), 64),
+        (("lambdad", "--k", "5", "--d", "37", "--method", "exact"), 3),
     ]
     for argv, want in table:
         code = dispatch(list(argv))

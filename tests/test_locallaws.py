@@ -21,6 +21,7 @@ from divilab import (
     unimodal_check,
 )
 from divilab import locallaws
+from divilab import multiples as multiples_mod
 from divilab.locallaws import (
     LocalLawRow,
     MedianResult,
@@ -186,20 +187,22 @@ def test_Lambda_exact_examples():
 
 
 def test_Lambda_against_naive_period_scan():
-    for d in range(1, 11):
+    # k runs to d + 1; the row is zero outside tau(d) <= k <= d
+    for d in range(1, 13):
         for k in range(1, d + 2):
-            assert Lambda_kd(k, d).exact == naive_lambda_kd(k, d)
+            assert Lambda_kd(k, d).exact == naive_lambda_kd(k, d), (k, d)
 
 
 def test_Lambda_against_friable_sum_formula():
     # second independent route: the generating friable-sum identity
     from oracles import lambda_kd_formula
 
-    for d in (3, 4, 6, 8):
-        for k in range(1, d + 1):
-            want = float(Lambda_kd(k, d).exact)
-            got, tail = lambda_kd_formula(k, d)
-            assert abs(got - want) <= tail + 1e-9, (k, d, got, want, tail)
+    # (5, 21) lies past d = 20; the formula's primes reach 19, enough for d <= 23
+    cases = [(k, d) for d in (3, 4, 6, 8) for k in range(1, d + 1)] + [(5, 21)]
+    for k, d in cases:
+        want = float(Lambda_kd(k, d).exact)
+        got, tail = lambda_kd_formula(k, d)
+        assert abs(got - want) <= tail + 1e-9, (k, d, got, want, tail)
 
 
 def test_Lambda_empirical_exact_over_whole_periods():
@@ -221,9 +224,47 @@ def test_Lambda_empirical_exact_over_whole_periods():
 
 
 def test_Lambda_column_sums():
-    for d in range(1, 13):
-        total = sum((Lambda_kd(k, d).exact for k in range(1, d + 1)), Fraction(0))
-        assert total == Fraction(1, d)
+    for d in (*range(1, 31), 32):  # every d whose lcm DP fits MAX_LCM_VISITS
+        row = [Lambda_kd(k, d) for k in range(1, d + 1)]
+        assert {est.method for est in row} == {"exact_period"}, d
+        assert sum(est.exact for est in row) == Fraction(1, d), d
+
+
+def test_Lambda_exact_cap(monkeypatch):
+    for d in (31, 33, 37, 40):
+        with pytest.raises(DomainError, match="seed"):
+            Lambda_kd(5, d)  # the default route is Monte Carlo here
+    assert Lambda_kd(5, 31, samples=1000, seed=1).method == "monte_carlo"
+
+    def no_work(*args):
+        raise AssertionError("the lcm DP ran before the cap check")
+
+    monkeypatch.setattr(locallaws, "_bonferroni_sums", no_work)
+    with pytest.raises(ResourceError, match="3000000"):
+        Lambda_kd(5, 37, method="exact")
+    # past d = 10000 both routes refuse before the cap check
+    monkeypatch.setattr(locallaws, "_check_lcm_work", no_work)
+    for method in (None, "exact", "mc"):
+        with pytest.raises(ResourceError, match="10000"):
+            Lambda_kd(5, 10_001, method=method, seed=1)
+
+
+def test_Lambda_route_floor_skips_coprime_base(monkeypatch):
+    # at d = 10000 the floor n * sum min(C(n, k), D) refuses the DP at once
+    def no_base(*args):
+        raise AssertionError("the visit bound ran")
+
+    monkeypatch.setattr(multiples_mod, "_bonferroni_visits", no_base)
+    assert locallaws._exact_gens(10_000, None) is None
+
+
+def test_Lambda_monte_carlo_brackets_exact_past_d20():
+    # 95% Wilson brackets at two of the likeliest k of each row
+    for d, ks in ((21, (4, 5)), (25, (3, 5)), (30, (11, 8))):
+        for k in ks:
+            exact = Lambda_kd(k, d).exact
+            est = Lambda_kd(k, d, method="mc", samples=150_000, seed=1)
+            assert est.lower <= exact <= est.upper, (k, d)
 
 
 def test_Lambda_monte_carlo_brackets_exact():

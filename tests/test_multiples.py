@@ -33,6 +33,7 @@ from divilab.multiples import (
     SIGMA0,
     _bonferroni_sums,
     _bonferroni_visits,
+    _check_lcm_work,
     block_elements,
     sieve_density,
 )
@@ -151,6 +152,34 @@ def test_bonferroni_visit_bound_holds():
                     for k in range(n + 1)]
         for maxsize in range(1, n + 1):
             assert _bonferroni_visits(gens, maxsize) >= n * sum(distinct[:maxsize]), gens
+
+
+def test_lcm_work_check_is_the_two_stage_rule(monkeypatch):
+    # the distinct-generator floor only refuses sets that the visit bound
+    # refuses too: with a small cap, the check raises exactly when the subset
+    # terms and the visit bound both pass it
+    from divilab import ResourceError
+
+    cap = 2000
+    monkeypatch.setattr(multiples_mod, "MAX_LCM_VISITS", cap)
+    rng = random.Random(13)
+    sets = [tuple(rng.sample(ANTICHAIN_POOL, rng.randint(2, 30))) for _ in range(20)] + [
+        tuple(rng.choices(range(2, 60), k=rng.randint(2, 30))) for _ in range(20)
+    ]
+    refused = 0
+    for gens in sets:
+        n = len(gens)
+        for maxsize in range(1, n + 1):
+            terms = sum(math.comb(n, k) for k in range(1, maxsize + 1))
+            want = terms > cap and _bonferroni_visits(gens, maxsize) > cap
+            try:
+                _check_lcm_work(gens, maxsize)
+                got = False
+            except ResourceError:
+                got = True
+            assert got == want, (gens, maxsize)
+            refused += got
+    assert refused > 0
 
 
 def test_bonferroni_sums_match_subset_walk():
