@@ -8,6 +8,7 @@ Scans are deterministic; Monte Carlo never runs without an explicit seed.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -15,14 +16,15 @@ from fractions import Fraction
 import numpy as np
 
 from .density import DensityEstimate, exact_density
-from .divgeom import _max_window
+from .divgeom import _below_e
 from .errors import DomainError, ResourceError
 from .locallaws import gaussian_cdf
 from .multiples import MAX_EXACT_GENERATORS, GeneratorSet, alpha0, divisor_hit_densities
 from .sieve import primes_upto
 from .tables import (
+    _PAIR_WINDOW,
     _check_cap,
-    divisor_lists,
+    _divisor_pairs,
     e_set_mask,
     gpf_table,
     interval_divisor_counts,
@@ -106,13 +108,33 @@ def t_sum(x: int, threads: int = 1) -> tuple[int, int]:
     return direct, dyadic
 
 
+# K = (n - a) * _KEY_STRIDE + log d orders a window's pairs by n and then d,
+# and log d < 20 below the scan cap keeps K + 1 short of the next n's keys.
+# K < 2^21 rounds to within 5e-10, so a pair beyond _KEY_BAND of the window
+# edge is decided by K; inside it, `divgeom._below_e` decides in integers.
+_KEY_STRIDE = 32
+_KEY_BAND = 1e-6
+
+
+def _delta_window(a: int, b: int) -> np.ndarray:
+    """Delta(n) for n in [a, b), b - a <= 2^16, from the window's divisor
+    pairs: the window opened at pair i ends before the first pair j with
+    d_j >= e d_i, searched on K at 1 -/+ the band; Delta is the longest."""
+    off, d = _divisor_pairs(a, b)
+    K = off * _KEY_STRIDE + np.log(d)
+    end = np.searchsorted(K, K + (1 - _KEY_BAND))
+    edge = np.searchsorted(K, K + (1 + _KEY_BAND))
+    for i in np.flatnonzero(end != edge).tolist():
+        di = int(d[i])
+        while end[i] < edge[i] and _below_e(di, int(d[end[i]])):
+            end[i] += 1
+    return np.maximum.reduceat(end - np.arange(len(end)), np.flatnonzero(d == 1))
+
+
 def _delta_sum_chunk(bounds: tuple[int, int]) -> int:
     lo, hi = bounds
-    total = 0
-    for _, lists in divisor_lists(hi - 1, start=lo):
-        for divs in lists:
-            total += _max_window(divs, [math.log(d) for d in divs])
-    return total
+    return sum(int(_delta_window(a, min(a + _PAIR_WINDOW, hi)).sum())
+               for a in range(lo, hi, _PAIR_WINDOW))
 
 
 def s_avg(x: int, cap: int = 10**7, threads: int = 1) -> float:
@@ -121,6 +143,7 @@ def s_avg(x: int, cap: int = 10**7, threads: int = 1) -> float:
         raise DomainError(f"need x >= 1, got {x}")
     if x > cap:
         raise ResourceError(f"s_avg scan {x} exceeds per-n capability cap {cap}")
+    _check_cap(x)
     total = sum(_map_chunks(_delta_sum_chunk, 1, x + 1, threads))
     return total / x
 
@@ -415,16 +438,20 @@ def dtheta_exponent_stats(lo: int, hi: int, theta) -> tuple[float, float]:
     [lo, hi]; integers where the minimum vanishes are skipped."""
     if not 2 <= lo <= hi:
         raise DomainError(f"need 2 <= lo <= hi, got {lo}..{hi}")
+    _check_cap(hi)
     th = float(theta)
     vals = []
-    for base, lists in divisor_lists(hi, start=lo):
-        for divs in lists:
-            if len(divs) < 2:
-                continue
-            best, _ = _nearest_int_min(divs, th)
-            if best <= 0.0:
-                continue
-            vals.append(math.log(1.0 / best) / math.log(len(divs)))
+    for a in range(lo, hi + 1, _PAIR_WINDOW):
+        _, d = _divisor_pairs(a, min(a + _PAIR_WINDOW, hi + 1))
+        t = d * th
+        fr = t - np.floor(t)
+        starts = np.flatnonzero(d == 1)
+        best = np.minimum.reduceat(np.minimum(fr, 1.0 - fr), starts)
+        tau = np.diff(starts, append=len(d))
+        keep = (tau >= 2) & (best > 0.0)
+        # math.log, as the per-n scans take it, so the values match them bit for bit
+        vals += map(operator.truediv, map(math.log, (1.0 / best[keep]).tolist()),
+                    map(math.log, tau[keep].tolist()))
     if not vals:
         raise DomainError("no usable integers in range")
     arr = np.sort(np.asarray(vals))

@@ -12,6 +12,10 @@ prime is a prefix sum of e_{j-1} / (q - 1), one numpy accumulate per column,
 and it stops at the first column that is all zero.  The e_j underflow long
 before j reaches pi(p) (178 nonzero columns at p = 60013, against 6057
 primes below it), so this costs O(J * pi(p)) rather than O(pi(p)^2).
+
+The exact k-th-divisor law forms no array, so the module imports no numpy:
+the sweeps, the prime lists (`sieve`) and the Monte Carlo path import them
+when called.
 """
 
 from __future__ import annotations
@@ -20,12 +24,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .density import DensityEstimate, exact_density
 from .errors import DomainError, ResourceError
 from .multiples import _bonferroni_sums, _check_lcm_work
-from .sieve import is_prime_u64, primes_upto
 
 # Primes per block of the column DP.  A sweep that keeps its table holds J
 # columns of _BLOCK + 1 doubles (2.9 MB for the 178 columns at p = 60013).
@@ -51,6 +52,8 @@ def _sweep_columns(ps: np.ndarray, size: int, keep: bool = True):
     there.  Each column's last entry seeds the next block.  E and last are
     views of buffers that the next block overwrites.
     """
+    import numpy as np
+
     ps = np.asarray(ps, dtype=np.float64)
     width = min(len(ps), _BLOCK) + 1
     E = np.empty((min(size, 256) if keep else 2, width))  # one column per row
@@ -91,6 +94,10 @@ def lambda_sweep(pmax: int, kmax: int | None = None):
     the first all-zero column; e is zero past it.  The e buffer is reused
     between iterations; copy it if you keep it.
     """
+    import numpy as np
+
+    from .sieve import primes_upto
+
     ps = primes_upto(pmax)
     size = (len(ps) if kmax is None else min(kmax, len(ps))) + 1
     e = np.zeros(size)
@@ -103,12 +110,21 @@ def lambda_sweep(pmax: int, kmax: int | None = None):
 
 def _state_at(p: int, kmax: int | None = None):
     """The sweep's state at the prime p: (prod_{q<p}(1-1/q), e, pi(p - 1))."""
+    from .sieve import primes_upto
+
     ps = primes_upto(p - 1)
     seen = len(ps)
     size = (seen + 1 if kmax is None else min(kmax, seen + 1)) + 1
     for _, prods, _, last in _sweep_columns(ps, size, keep=False):
         pass
     return float(prods[-1]), last, seen
+
+
+def _require_prime(p: int, caller: str) -> None:
+    from .sieve import is_prime_u64
+
+    if not is_prime_u64(p):
+        raise DomainError(f"{caller} needs a prime, got {p}")
 
 
 @dataclass(frozen=True)
@@ -124,8 +140,9 @@ class SymmetricCoeffs:
 
 
 def s_coeffs(p: int, kmax: int) -> SymmetricCoeffs:
-    if not is_prime_u64(p):
-        raise DomainError(f"s_coeffs needs a prime, got {p}")
+    import numpy as np
+
+    _require_prime(p, "s_coeffs")
     if kmax < 0:
         raise DomainError(f"need kmax >= 0, got {kmax}")
     _, e, _ = _state_at(p, kmax)
@@ -137,8 +154,7 @@ def lambda_kp(k: int, p: int) -> float:
     k - 1 exceeds the number of primes below p."""
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
-    if not is_prime_u64(p):
-        raise DomainError(f"lambda_kp needs a prime, got {p}")
+    _require_prime(p, "lambda_kp")
     prod, e, seen = _state_at(p, k - 1)
     if k - 1 > seen:
         return 0.0
@@ -158,6 +174,10 @@ class LocalLawRow:
 
 
 def lambda_row(k: int, P: int) -> LocalLawRow:
+    import numpy as np
+
+    from .sieve import primes_upto
+
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
     if P < 2:
@@ -190,6 +210,10 @@ def median_prime_detail(k: int, pmax: int = 200_000) -> MedianResult:
     This convention reproduces the published values (k=2 -> 37, k=3 -> 42719);
     see the distribution's tie at p=2 for k=1, which yields 3.
     """
+    import numpy as np
+
+    from .sieve import primes_upto
+
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
     ps = primes_upto(pmax)
@@ -223,6 +247,8 @@ def median_prime(k: int, pmax: int = 200_000) -> int:
 
 
 def _exact_cum_is_half(k: int, pmax: int) -> bool:
+    from .sieve import primes_upto
+
     cum = Fraction(0)
     e = [Fraction(0)] * k
     e[0] = Fraction(1)
@@ -253,14 +279,17 @@ def phi0_correction(z: float, A: float | None = None) -> float:
 
 def lambda_mode(p: int) -> tuple[int, float]:
     """(k*, lambda*) maximizing lambda_k(p) over k, ties toward smaller k."""
-    if not is_prime_u64(p):
-        raise DomainError(f"lambda_mode needs a prime, got {p}")
+    import numpy as np
+
+    _require_prime(p, "lambda_mode")
     prod, e, seen = _state_at(p)
     j = int(np.argmax(e[:seen + 1]))  # first max wins
     return j + 1, float(e[j] * prod / p)
 
 
 def _unimodal(values: np.ndarray) -> bool:
+    import numpy as np
+
     d = np.diff(values)
     falls = np.flatnonzero(d < 0)
     if len(falls) == 0:
@@ -270,8 +299,7 @@ def _unimodal(values: np.ndarray) -> bool:
 
 def unimodal_check(p: int) -> bool:
     """True iff {lambda_k(p)}_k rises then falls (plateaus allowed)."""
-    if not is_prime_u64(p):
-        raise DomainError(f"unimodal_check needs a prime, got {p}")
+    _require_prime(p, "unimodal_check")
     _, e, seen = _state_at(p)
     return _unimodal(e[:seen + 1])
 
@@ -335,6 +363,8 @@ def Lambda_kd(
         raise DomainError("monte carlo Lambda_kd requires a seed")
     if samples < 1:
         raise DomainError(f"need samples >= 1, got {samples}")
+    import numpy as np
+
     rng = np.random.Generator(np.random.Philox(seed))
     hits = 0
     for start in range(0, samples, 1 << 16):

@@ -6,13 +6,15 @@ Prime-factor tables (omega, Omega, P^+, and the squarefree smooth count in
 m = n/spf[n] < lo of every n in a chunk is already finished, and each table
 fills a whole chunk with one numpy expression in t[m], spf[n] and spf[m].
 
-Divisor-indexed tables use the hyperbola split: divisors d <= sqrt(x) are
-marked with one strided slice per d, and larger divisors are covered by one
-strided slice per cofactor m = n/d <= sqrt(x), so a full tau table costs
-O(sqrt(x)) numpy operations over O(x log x) cells.  tau^+ comes from a
-per-divisor cell bitmask: each divisor d ORs the bit of its dyadic cell,
-1 << bitlen(d - 1), into a uint32 mask of every multiple, window by window,
-and the occupied cells are the mask's set bits.
+Divisor-indexed tables share one hyperbola walker, `_hyperbola`: divisors
+d <= sqrt(x) are marked with one strided slice per d, and larger divisors
+are covered by one strided slice per cofactor m = n/d <= sqrt(x), so a full
+tau table costs O(sqrt(x)) numpy operations over O(x log x) cells.  tau^+
+comes from a per-divisor cell bitmask: each divisor d ORs the bit of its
+dyadic cell, 1 << bitlen(d - 1), into a uint32 mask of every multiple,
+window by window, and the occupied cells are the mask's set bits.  Per-n
+statistics read `_divisor_pairs`: every (n, d) with d | n in a window, as
+one sorted int64 key per pair.
 
 Scans partition cleanly over segments with associative merges; results are
 deterministic and independent of partitioning.
@@ -20,6 +22,7 @@ deterministic and independent of partitioning.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Iterator
 
@@ -51,15 +54,32 @@ def _spf_walk(x: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.nda
         lo = hi
 
 
+def _hyperbola(a: int, b: int, d_lo: int = 1, d_hi: int | None = None):
+    """Cover the pairs (n, d) with a <= n < b, d | n and d_lo <= d <= d_hi
+    (default b - 1), for a >= 1, by runs (n0, n1, step, d0, d1) of n = n0,
+    n0 + step, ..., n1.  A divisor d <= sqrt(b - 1) takes one run of its
+    multiples: d0 = d1 = d, step d.  Larger divisors go by cofactor m: one
+    run of n = m d for d = d0..d1, step m.  So O(sqrt(b)) runs cover any
+    window, each a strided slice of it."""
+    d_hi = b - 1 if d_hi is None else min(d_hi, b - 1)
+    root = math.isqrt(b - 1)
+    for d in range(d_lo, min(d_hi, root) + 1):
+        n0 = -(-a // d) * d
+        if n0 < b:
+            yield n0, (b - 1) // d * d, d, d, d
+    lo = max(d_lo, root + 1)
+    for m in range(1, (b - 1) // lo + 1 if lo <= d_hi else 1):
+        d0, d1 = max(lo, -(-a // m)), min(d_hi, (b - 1) // m)
+        if d0 <= d1:
+            yield m * d0, m * d1, m, d0, d1
+
+
 def tau_table(x: int) -> np.ndarray:
     """tau(n) for 0..x (index 0 unused)."""
     _check_cap(x)
     tau = np.zeros(x + 1, dtype=np.uint16)
-    D = math.isqrt(x)
-    for d in range(1, D + 1):
-        tau[d::d] += 1
-    for m in range(1, x // (D + 1) + 1):
-        tau[m * (D + 1): m * (x // m) + 1: m] += 1
+    for n0, n1, step, _, _ in _hyperbola(1, x + 1):
+        tau[n0:n1 + 1:step] += 1
     return tau
 
 
@@ -67,18 +87,8 @@ def interval_multiples_hits(x: int, lo_d: int, hi_d: int) -> np.ndarray:
     """Boolean mask on 0..x of integers having a divisor in (lo_d, hi_d]."""
     _check_cap(x)
     out = np.zeros(x + 1, dtype=bool)
-    hi_d = min(hi_d, x)
-    if lo_d >= hi_d:
-        return out
-    D = math.isqrt(x)
-    for d in range(lo_d + 1, min(hi_d, D) + 1):
-        out[d::d] = True
-    if hi_d > D:
-        for m in range(1, x // (D + 1) + 1):
-            lo = max(D, lo_d)
-            hi = min(hi_d, x // m)
-            if hi > lo:
-                out[m * (lo + 1): m * hi + 1: m] = True
+    for n0, n1, step, _, _ in _hyperbola(1, x + 1, lo_d + 1, hi_d):
+        out[n0:n1 + 1:step] = True
     return out
 
 
@@ -87,9 +97,9 @@ def tauplus_window(lo: int, hi: int) -> np.ndarray:
     (2^(k-1), 2^k] occupied by divisors of n, cell k = bitlen(d - 1).
 
     In each window [a, b) of 2^20 entries, every divisor d ORs 1 << k into
-    a uint32 mask of its multiples: d <= sqrt(b - 1) takes one strided
-    slice, and larger d one slice per cofactor m, split where d crosses a
-    power of two.  Below the scan cap every d < 2^28, so the 29 cells fit."""
+    a uint32 mask of its multiples, one `_hyperbola` run at a time; a run of
+    large divisors splits where d crosses a power of two.  Below the scan
+    cap every d < 2^28, so the 29 cells fit."""
     if not 1 <= lo < hi:
         raise DomainError(f"need 1 <= lo < hi, got [{lo}, {hi})")
     _check_cap(hi - 1)
@@ -97,19 +107,32 @@ def tauplus_window(lo: int, hi: int) -> np.ndarray:
     for a in range(lo, hi, _WALK_CHUNK):
         b = min(a + _WALK_CHUNK, hi)
         mask = np.zeros(b - a, dtype=np.uint32)
-        root = math.isqrt(b - 1)
-        for d in range(1, root + 1):
-            mask[-a % d::d] |= 1 << (d - 1).bit_length()
-        for m in range(1, (b - 1) // (root + 1) + 1):
-            d = max(root + 1, -(-a // m))
-            d_hi = (b - 1) // m
-            while d <= d_hi:
+        for n0, n1, step, d, d1 in _hyperbola(a, b):
+            if d == d1:
+                mask[n0 - a:n1 - a + 1:step] |= 1 << (d - 1).bit_length()
+                continue
+            while d <= d1:
                 k = (d - 1).bit_length()
-                top = min(d_hi, 1 << k)
-                mask[m * d - a: m * top - a + 1: m] |= 1 << k
+                top = min(d1, 1 << k)
+                mask[step * d - a:step * top - a + 1:step] |= 1 << k
                 d = top + 1
         out[a - lo:b - lo] = np.bitwise_count(mask)
     return out
+
+
+_PAIR_WINDOW = 1 << 16  # n - a < 2^16 and d < 2^32 share one int64 key
+
+
+def _divisor_pairs(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n - a, d) over every divisor d of every n in [a, b), b - a <= 2^16,
+    as flat int64 arrays sorted by n and then d.  Each `_hyperbola` run is
+    one arithmetic progression of the key (n - a) << 32 | d: step d << 32
+    for the multiples of one d, (m << 32) + 1 along a cofactor run."""
+    keys = [np.arange((n0 - a) << 32 | d0, ((n1 - a) << 32 | d1) + 1,
+                      step << 32 | (d0 != d1), dtype=np.int64)
+            for n0, n1, step, d0, d1 in _hyperbola(a, b)]
+    key = np.sort(np.concatenate(keys))
+    return key >> 32, key & 0xFFFFFFFF
 
 
 def tauplus_table(x: int) -> np.ndarray:
@@ -151,16 +174,36 @@ def e_set_mask(x: int) -> np.ndarray:
 
 def multiples_mask(generators, x: int) -> np.ndarray:
     """Membership mask of the set of multiples of the given generators on
-    0..x.  Generators already covered by an earlier mark are skipped (their
-    multiples are a subset)."""
+    0..x.
+
+    Generators up to T = max(sqrt(x), x // #generators) mark one strided
+    slice each, in ascending order, skipping any already marked (its
+    multiples are a subset).  The unmarked ones above T have fewer than
+    x / T multiples each, so they go by cofactor: for each m, one
+    fancy-index write of m a over every such a <= x / m."""
     _check_cap(x)
+    if isinstance(generators, np.ndarray):  # np.unique is far slower than np.sort
+        bad, gens = generators[generators <= 0], np.sort(generators[generators <= x])
+    else:  # a Python int may not fit int64
+        ints = [int(a) for a in generators]
+        bad, gens = [a for a in ints if a <= 0], sorted(a for a in ints if a <= x)
+    if len(bad):
+        raise DomainError(f"generators must be positive, got {bad[0]}")
     out = np.zeros(x + 1, dtype=bool)
-    for a in generators:
-        a = int(a)
-        if a <= 0:
-            raise DomainError(f"generators must be positive, got {a}")
-        if a <= x and not out[a]:
+    if not len(gens):
+        return out
+    T = max(math.isqrt(x), x // len(gens))
+    split = bisect.bisect_right(gens, T)
+    for a in gens[:split]:
+        if not out[a]:
             out[a::a] = True
+    big = np.asarray(gens[split:], dtype=np.int64)
+    big = big[~out[big]]
+    for m in range(1, x // T + 1):
+        k = int(np.searchsorted(big, x // m, side="right"))
+        if k == 0:
+            break
+        out[big[:k] * m] = True
     return out
 
 
@@ -174,28 +217,3 @@ def interval_divisor_counts(x: int, y: int, z: int, closed_left: bool = False) -
         sl = cnt[d::d]
         np.add(sl, 1, out=sl, where=sl < 255)
     return cnt
-
-
-def divisor_lists(x: int, segment: int = 200_000, start: int = 1) -> Iterator[tuple[int, list[list[int]]]]:
-    """Yield (base, lists) segments where lists[i] holds the ascending
-    divisors of base + i, covering start..x.
-
-    Small divisors d <= sqrt(hi) are appended d-major (ascending); large
-    divisors are appended via cofactors m-major with m descending, which
-    also lands ascending per n -- so no per-n sort is needed.
-    """
-    _check_cap(x)
-    for base in range(start, x + 1, segment):
-        hi = min(base + segment, x + 1)
-        lists: list[list[int]] = [[] for _ in range(hi - base)]
-        root = math.isqrt(hi - 1)
-        for d in range(1, root + 1):
-            first = ((base + d - 1) // d) * d
-            for nn in range(first, hi, d):
-                lists[nn - base].append(d)
-        for m in range(root, 0, -1):
-            d_lo = max(root + 1, (base + m - 1) // m)
-            d_hi = (hi - 1) // m
-            for d in range(d_lo, d_hi + 1):
-                lists[m * d - base].append(d)
-        yield base, lists

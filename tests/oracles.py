@@ -1,12 +1,14 @@
 """Naive, independent reimplementations used as test oracles.
 
 Nothing here imports from divilab: trial division, nested-loop window scans
-decided in integers against convergents of e, midpoint quadrature, the
-per-prime strided numpy sieves that the SPF recurrence replaced, the
-per-cell tau^+ builder that the divisor bitmask replaced, the unsegmented
-SPF sieve, the subset-walk Bonferroni bracket, the per-prime local-law
-e_j sweep that the column-wise DP replaced, and the truncated friable sum
-with its Rankin tail that m(y) came from.  Slow on purpose.
+decided in integers against convergents of e, the per-n list scans of Delta
+and ||d theta|| that the flat divisor-pair kernel replaced, trial marking of
+multiples, midpoint quadrature, the per-prime strided numpy sieves that the
+SPF recurrence replaced, the per-cell tau^+ builder that the divisor bitmask
+replaced, the unsegmented SPF sieve, the subset-walk Bonferroni bracket, the
+per-prime local-law e_j sweep that the column-wise DP replaced, and the
+truncated friable sum with its Rankin tail that m(y) came from.  Slow on
+purpose.
 """
 
 import math
@@ -92,6 +94,65 @@ def naive_delta(n):
         cnt = sum(1 for e in divs if d <= e and below_e(d, e))
         best = max(best, cnt)
     return best
+
+
+def divisor_lists(lo, hi):
+    """Ascending divisors of each n in [lo, hi), as Python lists: divisors
+    d <= sqrt(hi - 1) are appended d-major, then the larger ones by cofactor
+    m, m descending, which lands them ascending too."""
+    lists = [[] for _ in range(hi - lo)]
+    root = math.isqrt(hi - 1)
+    for d in range(1, root + 1):
+        for n in range(-(-lo // d) * d, hi, d):
+            lists[n - lo].append(d)
+    for m in range(root, 0, -1):
+        for d in range(max(root + 1, -(-lo // m)), (hi - 1) // m + 1):
+            lists[m * d - lo].append(d)
+    return lists
+
+
+def list_delta(divs):
+    """Delta(n) from the ascending divisors by one sweep of window ends: the
+    float log gap decides outside 1e-12 of 1, the integers inside."""
+    logs = [math.log(d) for d in divs]
+    best = j = 0
+    for i, li in enumerate(logs):
+        j = max(j, i)
+        while j + 1 < len(divs):
+            gap = logs[j + 1] - li
+            if gap > 1 + 1e-12 or (gap >= 1 - 1e-12 and not below_e(divs[i], divs[j + 1])):
+                break
+            j += 1
+        best = max(best, j - i + 1)
+    return best
+
+
+def list_dtheta_exponents(lo, hi, theta):
+    """log(1/min_d ||d theta||)/log tau(n) for n in [lo, hi] with tau(n) >= 2
+    and a nonzero minimum, in float theta, one divisor at a time."""
+    th = float(theta)
+    vals = []
+    for divs in divisor_lists(lo, hi + 1):
+        if len(divs) < 2:
+            continue
+        best = 1.0
+        for d in divs:
+            t = d * th
+            fr = t - math.floor(t)
+            best = min(best, fr if fr < 0.5 else 1 - fr)
+        if best > 0.0:
+            vals.append(math.log(1.0 / best) / math.log(len(divs)))
+    return vals
+
+
+def trial_multiples_mask(gens, x):
+    """Membership of 0..x in the multiples of gens, marked one multiple at a
+    time."""
+    hit = [False] * (x + 1)
+    for a in gens:
+        for n in range(a, x + 1, a):
+            hit[n] = True
+    return np.array(hit)
 
 
 def naive_delta_osc(n, weight):
@@ -304,7 +365,7 @@ def lambda_kd_formula(k, d, limit=10**13):
     over d-friable m whose product m*d has exactly k divisors <= d.
     The friable tail above `limit` is Rankin-bounded at sigma = 1/2 and
     returned as (value, tail_bound)."""
-    primes = [p for p in (2, 3, 5, 7, 11, 13, 17, 19) if p <= d]
+    primes = [p for p in range(2, d + 1) if trial_factor(p) == [(p, 1)]]
     smooth = [1]
     for p in primes:
         for m in list(smooth):

@@ -482,6 +482,7 @@ def _cli_child(*argv):
     ("fn", "--n", "39999983", "--what", "delta"),
     ("multiples", "--interval", "4:8", "--density", "exact"),
     ("multiples", "--gens", "6,10,15", "--density", "bonferroni:1"),
+    ("lambdad", "--k", "5", "--d", "21"),
 ])
 def test_cli_lines_load_no_numpy(argv):
     """Lines that need no arrays run without importing numpy."""

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import divilab.experiments as exp
@@ -9,6 +10,9 @@ from divilab import DomainError, factor
 from divilab.multiples import SIGMA0
 
 from oracles import (
+    divisor_lists,
+    list_delta,
+    list_dtheta_exponents,
     naive_h_count,
     naive_phi,
     riemann_integral,
@@ -104,6 +108,32 @@ def test_s_avg():
     x = 3000
     expect = sum(naive_delta(n) for n in range(1, x + 1)) / x
     assert exp.s_avg(x) == pytest.approx(expect, abs=1e-12)
+
+
+@pytest.mark.parametrize("x", [1, 4, 3000, 10**5])
+def test_s_avg_matches_list_oracle(x):
+    # the per-n list scan the pair kernel replaced; the quotient of one
+    # integer total by x, so equal totals give equal bits
+    assert exp.s_avg(x) == sum(map(list_delta, divisor_lists(1, x + 1))) / x
+
+
+@pytest.mark.parametrize("n, want", [(465 * 1264, 12), (2 * 465 * 1264, 14),
+                                     (27 * 536 * 1457, 14)])
+def test_delta_window_band_pairs(n, want):
+    # 1264/465 and 1457/536 are convergents of e whose log gaps, 1 - 8.3e-7
+    # and 1 + 6.5e-7, lie inside the kernel's band, so the integers decide:
+    # 1264 < e 465 stays in the window opened at 465, 1457 > e 536 does not.
+    # At 2 * 465 * 1264 the first pair decides Delta (13 without it), at
+    # 27 * 536 * 1457 the second (15 with it).  The windows start at
+    # 1 mod 2^16, as s_avg's do.
+    from divilab.arith import divisors, factor_window
+    from divilab.divgeom import delta
+
+    a = 1 + (n - 1) // exp._PAIR_WINDOW * exp._PAIR_WINDOW
+    b = a + exp._PAIR_WINDOW
+    got = exp._delta_window(a, b)
+    assert got.tolist() == [delta(divisors(f)) for f in factor_window(a, b - 1)]
+    assert got[n - a] == want
 
 
 def test_eps_pair_exact():
@@ -263,6 +293,15 @@ def test_dtheta_exponent_stats_band():
     assert math.isfinite(mean)
 
 
+@pytest.mark.parametrize("lo, hi, theta", [
+    (2, 70_000, exp.golden_ratio_fraction()),  # crosses the first 2^16 pair window
+    (10**6 - 5, 10**6 + 2**16 + 5, math.sqrt(2.0)),
+])
+def test_dtheta_exponent_stats_matches_list_oracle(lo, hi, theta):
+    arr = np.sort(np.asarray(list_dtheta_exponents(lo, hi, theta)))
+    assert exp.dtheta_exponent_stats(lo, hi, theta) == (float(arr[len(arr) // 2]), float(arr.mean()))
+
+
 @pytest.mark.slow
 def test_s_avg_growth_at_scale():
     # the average concentration grows with x but sits slightly below
@@ -270,7 +309,7 @@ def test_s_avg_growth_at_scale():
     # the value at 1e6 is an exact integer ratio, frozen from the scan
     v4, v5, v6 = exp.s_avg(10**4), exp.s_avg(10**5), exp.s_avg(10**6)
     assert v4 < v5 < v6 < 20
-    assert v6 == pytest.approx(2.517831, abs=1e-6)
+    assert v6 == 2517831 / 10**6  # the total of Delta(n) over n <= 1e6
     assert v6 > 0.9 * math.log(math.log(10**6))
 
 

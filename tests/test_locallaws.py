@@ -30,6 +30,7 @@ from divilab.locallaws import (
     _unimodal,
     lambda_sweep,
 )
+from divilab.sieve import primes_upto
 
 from oracles import (
     naive_lambda_kd,
@@ -197,12 +198,23 @@ def test_Lambda_against_friable_sum_formula():
     # second independent route: the generating friable-sum identity
     from oracles import lambda_kd_formula
 
-    # (5, 21) lies past d = 20; the formula's primes reach 19, enough for d <= 23
+    # (5, 21) lies past d = 20
     cases = [(k, d) for d in (3, 4, 6, 8) for k in range(1, d + 1)] + [(5, 21)]
     for k, d in cases:
         want = float(Lambda_kd(k, d).exact)
         got, tail = lambda_kd_formula(k, d)
         assert abs(got - want) <= tail + 1e-9, (k, d, got, want, tail)
+
+
+def test_friable_sum_formula_past_d23():
+    # from d = 24 on the formula needs the prime 23, and from d = 29 on 29;
+    # a smaller limit keeps each call near 0.5 s with a tail of about 2e-5
+    from oracles import lambda_kd_formula
+
+    for k, d in ((11, 30), (3, 25), (5, 25)):
+        want = float(Lambda_kd(k, d).exact)
+        got, tail = lambda_kd_formula(k, d, limit=10**9)
+        assert abs(got - want) <= tail, (k, d, got, want, tail)
 
 
 def test_Lambda_empirical_exact_over_whole_periods():
@@ -335,7 +347,7 @@ def _assert_rows_equal(got, want):
 ])
 def test_lambda_sweep_matches_row_oracle(pmax, kmax):
     rows = _assert_rows_equal(lambda_sweep(pmax, kmax), row_lambda_sweep(pmax, kmax))
-    assert rows == len(locallaws.primes_upto(pmax))
+    assert rows == len(primes_upto(pmax))
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])
@@ -414,7 +426,7 @@ def test_lambda_row_matches_row_oracle(monkeypatch, block):
 
 
 def test_lambda_row_longer_than_a_block():
-    assert len(locallaws.primes_upto(30011)) > locallaws._BLOCK
+    assert len(primes_upto(30011)) > locallaws._BLOCK
     for k in (1, 3):
         assert _row_bits(lambda_row(k, 30011)) == _row_bits(_oracle_lambda_row(k, 30011))
 
@@ -433,7 +445,7 @@ def test_median_matches_row_oracle(monkeypatch, block):
 
 
 def test_point_queries_match_row_oracle():
-    wanted = {int(p) for p in locallaws.primes_upto(500)} | {7919, 7927}
+    wanted = {int(p) for p in primes_upto(500)} | {7919, 7927}
     for p, prod, e, seen in row_lambda_sweep(7927):
         if p not in wanted:
             continue

@@ -1,18 +1,42 @@
 """The SPF-derived tables against the per-prime strided sieves they replaced,
-and the tau^+ bitmask kernel against the per-cell builder it replaced.
+the tau^+ bitmask kernel against the per-cell builder it replaced, and the
+hyperbola walker, the divisor-pair kernel and the multiples mask against
+trial division and trial marking.
 
 The listed sizes straddle the walker's chunk boundaries: its chunks double
 up to 2**20 cells and then advance by 2**20, so x = 2**20 - 1, 2**20 + 3,
 2**21 + 3 and 3 * 2**20 + 7 end inside the first capped chunks.
 """
 
+import math
+import random
+
 import numpy as np
 import pytest
 
 from divilab import DomainError, psi1_count
-from divilab.tables import gpf_table, omega_table, tauplus_table, tauplus_window
+from divilab.tables import (
+    _divisor_pairs,
+    _hyperbola,
+    e_set_mask,
+    gpf_table,
+    interval_multiples_hits,
+    multiples_mask,
+    omega_table,
+    tau_table,
+    tauplus_table,
+    tauplus_window,
+)
 
-from oracles import cell_tauplus_table, sieve_gpf_table, sieve_omega_table, sieve_psi1_mask
+from oracles import (
+    cell_tauplus_table,
+    divisor_lists,
+    sieve_gpf_table,
+    sieve_omega_table,
+    sieve_psi1_mask,
+    trial_divisors,
+    trial_multiples_mask,
+)
 
 XS = (1, 2, 3, 4, 10, 1000, 2**20 - 1, 2**20 + 3, 2**21 + 3, 3 * 2**20 + 7)
 YS = (2, 3, 97, 1000, 2**20)
@@ -70,3 +94,91 @@ def test_tauplus_window_domain():
     for lo, hi in ((0, 5), (5, 5), (6, 5)):
         with pytest.raises(DomainError):
             tauplus_window(lo, hi)
+
+
+def _run_pairs(a, b, d_lo=1, d_hi=None):
+    pairs = []
+    for n0, n1, step, d0, d1 in _hyperbola(a, b, d_lo, d_hi):
+        ns = range(n0, n1 + 1, step)
+        ds = [d0] * len(ns) if d0 == d1 else range(d0, d1 + 1)
+        assert len(ds) == len(ns)
+        pairs += zip(ns, ds)
+    return pairs
+
+
+@pytest.mark.parametrize("a, b", [(1, 2), (1, 101), (2, 3), (97, 98), (1000, 1300),
+                                  (10**5 - 17, 10**5 + 400)])
+def test_hyperbola_covers_each_divisor_once(a, b):
+    rng = random.Random(a)
+    bounds = [(1, None), (1, b), (3, 7), (max(1, b // 3), b // 2)]
+    bounds += [(rng.randint(1, b), rng.randint(1, 2 * b)) for _ in range(4)]
+    for d_lo, d_hi in bounds:
+        top = b if d_hi is None else d_hi
+        want = sorted((n, d) for n in range(a, b) for d in trial_divisors(n) if d_lo <= d <= top)
+        pairs = _run_pairs(a, b, d_lo, d_hi)
+        assert sorted(pairs) == want, (d_lo, d_hi)  # no pair twice, none missing
+        assert all(n % d == 0 for n, d in pairs)
+
+
+@pytest.mark.parametrize("a, b", [(1, 2), (1, 3000), (10**6 - 300, 10**6 + 300),
+                                  (3 * 10**6, 3 * 10**6 + 2**16)])
+def test_divisor_pairs_match_divisor_lists(a, b):
+    off, d = _divisor_pairs(a, b)
+    assert off.dtype == d.dtype == np.int64
+    got = [[] for _ in range(b - a)]
+    for i, di in zip(off.tolist(), d.tolist()):
+        got[i].append(di)
+    assert got == divisor_lists(a, b)
+    if b - a <= 600:
+        assert got == [trial_divisors(n) for n in range(a, b)]
+
+
+@pytest.mark.parametrize("x", [1, 2, 3, 10, 99, 100, 101, 2000])
+def test_tau_table_matches_trial_division(x):
+    tau = tau_table(x)
+    assert tau.dtype == np.uint16
+    assert tau.tolist() == [0] + [len(trial_divisors(n)) for n in range(1, x + 1)]
+
+
+def test_interval_multiples_hits_matches_trial_marking():
+    rng = random.Random(7)
+    for x in (1, 10, 100, 1000, 4321):
+        root = math.isqrt(x)
+        cases = [(0, x), (0, 1), (root - 1, root + 1), (x - 1, x), (5, 3), (root, 2 * x)]
+        cases += [tuple(sorted(rng.sample(range(0, x + 2), 2))) for _ in range(6)]
+        for lo_d, hi_d in cases:
+            got = interval_multiples_hits(x, lo_d, hi_d)
+            assert got.dtype == bool
+            gens = range(lo_d + 1, min(hi_d, x) + 1)
+            assert np.array_equal(got, trial_multiples_mask(gens, x)), (x, lo_d, hi_d)
+
+
+def test_multiples_mask_matches_trial_marking():
+    rng = random.Random(2024)
+    for _ in range(60):
+        x = rng.choice([1, 7, 100, 1000, 5000])
+        root = math.isqrt(x)
+        gens = [rng.randint(1, 2 * x + 5) for _ in range(rng.choice([1, 3, 6, 12, 40, 400]))]
+        T = max(root, x // len(gens))
+        gens += rng.sample([root, T, T + 1, x, x + 1], 3)  # the split points and the ends
+        gens += rng.sample(gens, min(len(gens), 4))  # duplicates
+        rng.shuffle(gens)  # unsorted
+        want = trial_multiples_mask([a for a in gens if a <= x], x)
+        assert np.array_equal(multiples_mask(gens, x), want), (x, gens)
+        assert np.array_equal(multiples_mask(np.array(gens), x), want), (x, gens)
+    assert not multiples_mask([], 10).any()
+    assert not multiples_mask([11, 10**30], 10).any()
+
+
+def test_multiples_mask_e_set():
+    x = 10**5
+    gens = np.flatnonzero(e_set_mask(x))
+    got = multiples_mask(gens, x)
+    assert got.dtype == bool and len(got) == x + 1
+    assert np.array_equal(got, trial_multiples_mask(gens.tolist(), x))
+
+
+def test_multiples_mask_rejects_nonpositive():
+    for gens in ([3, 0], np.array([3, -2, 0])):
+        with pytest.raises(DomainError, match="got 0" if len(gens) == 2 else "got -2"):
+            multiples_mask(gens, 10)
