@@ -12,10 +12,12 @@ from fractions import Fraction
 from .errors import DomainError
 
 # Method tags in use.  "exact_ie" is the exact density of a finite set of
-# multiples from the valuation DP (multiples.py), so lower == upper always.
+# multiples from the valuation DP (multiples.py), lower == upper always, and
+# "valuation_bracket" that DP's rigorous bracket past its state budget.
 # "exact_period" is Lambda_k(d) (locallaws.py), exact from the subset-lcm DP.
 METHODS = (
     "exact_ie",
+    "valuation_bracket",
     "exact_period",
     "bonferroni",
     "sieve_count",

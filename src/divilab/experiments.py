@@ -15,11 +15,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .density import DensityEstimate, exact_density
+from .density import DensityEstimate
 from .divgeom import _below_e
 from .errors import DomainError, ResourceError
 from .locallaws import gaussian_cdf
-from .multiples import MAX_EXACT_GENERATORS, GeneratorSet, alpha0, divisor_hit_densities
+from .multiples import GeneratorSet, _bracket_estimate, alpha0, divisor_hit_densities
 from .sieve import primes_upto
 from .tables import (
     _PAIR_WINDOW,
@@ -27,7 +27,6 @@ from .tables import (
     _divisor_pairs,
     e_set_mask,
     gpf_table,
-    interval_divisor_counts,
     interval_multiples_hits,
     multiples_mask,
     omega_table,
@@ -150,29 +149,13 @@ def s_avg(x: int, cap: int = 10**7, threads: int = 1) -> float:
 
 def eps_pair(y: int, z: int, x: int) -> tuple[DensityEstimate, DensityEstimate, float]:
     """Densities of {some divisor in (y, z]} and {exactly one divisor in
-    (y, z]}, plus their ratio rho_1.
-
-    Exact densities from the valuation DP when the interval holds at most
-    MAX_EXACT_GENERATORS integers; sieve counts at x otherwise.
-    """
+    (y, z]} from the valuation DP (divisor_hit_densities), and their ratio
+    rho_1; x only bounds z.  Past MAX_DP_STATES states each density is a
+    valuation_bracket and rho_1 the ratio of the bracket midpoints."""
     if not (1 <= y < z <= x):
         raise DomainError(f"need 1 <= y < z <= x, got y={y} z={z} x={x}")
-    if z - y <= MAX_EXACT_GENERATORS:
-        eps, eps1 = divisor_hit_densities(GeneratorSet(interval=(y, z)))
-        return exact_density(eps), exact_density(eps1), float(eps1 / eps)
-    counts = interval_divisor_counts(x, y, z)
-    n_any = int(np.count_nonzero(counts[1:]))
-    n_one = int(np.count_nonzero(counts[1:] == 1))
-    band = 2.0 / math.sqrt(x)
-    pe = n_any / x
-    p1 = n_one / x
-    e = DensityEstimate(pe, max(0.0, pe - band), min(1.0, pe + band),
-                        "sieve_count", params={"x": x})
-    e1 = DensityEstimate(p1, max(0.0, p1 - band), min(1.0, p1 + band),
-                         "sieve_count", params={"x": x})
-    if n_any == 0:
-        raise DomainError("eps = 0: rho_1 undefined")
-    return e, e1, n_one / n_any
+    (lo, hi), (lo1, hi1) = divisor_hit_densities(GeneratorSet(interval=(y, z)))
+    return _bracket_estimate(lo, hi), _bracket_estimate(lo1, hi1), float((lo1 + hi1) / (lo + hi))
 
 
 # ---------------------------------------------------------------------------
@@ -515,10 +498,7 @@ def beta_r(r: int) -> float:
     by 2^{m-1} < r + 1 <= 2^m."""
     if r < 1:
         raise DomainError(f"need r >= 1, got {r}")
-    m = (r + 1 - 1).bit_length()  # smallest m with 2^m >= r + 1
-    if 1 << (m - 1) >= r + 1:
-        m -= 1
-    m = max(m, 1)
+    m = r.bit_length()
     ln3 = math.log(3.0)
     return (ln3 - 1.0) ** m / (ln3 - 1.0 / 3.0) ** (m - 1)
 

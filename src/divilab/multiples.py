@@ -8,9 +8,11 @@ inequality; Hall-Tenenbaum, *Divisors*, ch. 0).  The same holds for the
 elements of any coprime base of A, which gcd refinement finds without
 factoring.  The DP takes the base elements in descending order; its state is
 the primitive set of quotients still to be matched, split into independent
-groups whenever no base element links them.  It is exact for every set it
-finishes; a set whose DP would exceed MAX_DP_STATES states raises
-ResourceError instead.
+groups whenever no base element links them.  Past a budget of MAX_DP_STATES
+states it encloses the states it meets instead of solving them, so each set
+gets a rigorous bracket, exact when the DP finishes.  `density_bracket`
+(auto), `remainder_Rn` and `experiments.eps_pair` report it; exact_ie,
+`m_of_y` and `behrend_ineq_check` raise ResourceError unless it is exact.
 
 The exact engine and the Bonferroni sums are pure Python, so the module
 imports no numpy: the scans up to x (`multiples_count` and its callers,
@@ -30,7 +32,6 @@ from .arith import INFINITE, Factored, divisors
 from .density import DensityEstimate, exact_density
 from .errors import DEFAULT_SCAN_CAP, ConstraintError, DomainError, ResourceError
 
-MAX_EXACT_GENERATORS = 24
 MAX_DP_STATES = 10**6
 MAX_LCM_VISITS = 3_000_000  # work cap of the subset-lcm DP (_bonferroni_sums)
 
@@ -131,20 +132,24 @@ class _ValuationDP:
     measure is the same as over primes.  A state whose elements fall into
     groups sharing no base element is split, and its density is
     1 - prod(1 - d(group)).  The memo lives as long as the object, so
-    related sets share states.  A state is stored as (N, L) with
-    L = lcm(state) and density N / L: with integer numerators no gcd is taken
-    until the final Fraction.
+    related sets share states.  A state is stored as (lo, hi, L) with
+    L = lcm(state) and lo <= d L <= hi, exact when lo == hi: with integer
+    numerators no gcd is taken until the final Fraction.  Once the memo
+    holds MAX_DP_STATES states, a state not in it is enclosed (_enclosure),
+    not expanded or stored.  Branch weights are positive and 1 - prod(1 - d)
+    grows with each d, so lower ends combine with lower ends, upper with upper.
     """
 
     def __init__(self, gens: Sequence[int]):
-        self.n_gens = len(gens)
         self.base = sorted(_coprime_base(gens), reverse=True)
         self.profiles: dict[int, tuple[int, int, int]] = {}
-        self.memo: dict[tuple[int, ...], tuple[int, int]] = {(): (0, 1), (1,): (1, 1)}
+        self.memo: dict[tuple[int, ...], tuple[int, int, int]] = {(): (0, 0, 1), (1,): (1, 1, 1)}
 
-    def density(self, elems: Iterable[int]) -> Fraction:
-        num, den = self._solve(_primitive(elems))
-        return Fraction(num, den)
+    def bounds(self, elems: Iterable[int]) -> tuple[Fraction, Fraction]:
+        """(lower, upper) for d M(elems), one Fraction twice when exact."""
+        lo, hi, L = self._solve(_primitive(elems))
+        lower = Fraction(lo, L)
+        return lower, (lower if lo == hi else Fraction(hi, L))
 
     def _profile(self, q: int) -> tuple[int, int, int]:
         """(m, v_m(q), mask) for q > 1: m is the largest base element dividing
@@ -162,10 +167,12 @@ class _ValuationDP:
             hit = self.profiles[q] = (m, v, mask)
         return hit
 
-    def _solve(self, state: tuple[int, ...]) -> tuple[int, int]:
+    def _solve(self, state: tuple[int, ...]) -> tuple[int, int, int]:
         hit = self.memo.get(state)
         if hit is not None:
             return hit
+        if len(self.memo) >= MAX_DP_STATES:
+            return _enclosure(state)
         profs = [self._profile(q) for q in state]
         groups: list[tuple[int, list[int]]] = []
         for q, (_, _, mask) in zip(state, profs):
@@ -180,26 +187,22 @@ class _ValuationDP:
             rest.append((mask, members))
             groups = rest
         if len(groups) > 1:
-            # groups have coprime lcms, so lcm(state) is their product
-            whole = miss = 1
+            # coprime group lcms multiply to lcm(state); lower ends bound the miss above
+            whole = miss_hi = miss_lo = 1
             for _, members in groups:
-                num, den = self._solve(tuple(sorted(members)))
-                whole *= den
-                miss *= den - num
-            out = (whole - miss, whole)
+                lo, hi, L = self._solve(tuple(sorted(members)))
+                whole *= L
+                miss_hi *= L - lo
+                miss_lo *= L - hi
+            out = (whole - miss_hi, whole - miss_lo, whole)
         elif len(state) == 1:
-            out = (1, state[0])
+            out = (1, 1, state[0])
         else:
             out = self._branch(state, profs)
         self.memo[state] = out
-        if len(self.memo) > MAX_DP_STATES:
-            raise ResourceError(
-                f"valuation DP over {self.n_gens} generators passed {len(self.memo)} "
-                f"states, over the cap of {MAX_DP_STATES}"
-            )
         return out
 
-    def _branch(self, state: tuple[int, ...], profs) -> tuple[int, int]:
+    def _branch(self, state: tuple[int, ...], profs) -> tuple[int, int, int]:
         """Branch on v_m(n) for the largest base element m in the state."""
         m = max(tm for tm, _, _ in profs)
         # q = m^v r with m not dividing r, which matches n iff v <= v_m(n) and r | n
@@ -207,25 +210,57 @@ class _ValuationDP:
         levels = sorted({v for v, _ in parts})
         e = levels[-1]
         lcm_rest = math.lcm(*(r for _, r in parts))
-        num = 0
+        lo = hi = 0
         for i, u in enumerate(levels):
             # v_m(n) in [u, next level) has weight m^-u - m^-next, here scaled
             # by the m^e in the lcm; below the lowest level nothing matches
-            sub_num, sub_lcm = self._solve(_primitive(r for v, r in parts if v <= u))
+            sub_lo, sub_hi, sub_lcm = self._solve(_primitive(r for v, r in parts if v <= u))
             w = m ** (e - u) - (m ** (e - levels[i + 1]) if i + 1 < len(levels) else 0)
-            num += w * (lcm_rest // sub_lcm) * sub_num
-        return num, m**e * lcm_rest
+            w *= lcm_rest // sub_lcm
+            lo += w * sub_lo
+            hi += w * sub_hi
+        return lo, hi, m**e * lcm_rest
+
+
+def _enclosure(state: tuple[int, ...]) -> tuple[int, int, int]:
+    """(lo, hi, L) around d M(state) for an ascending primitive state,
+    without the DP: below, the larger of 1/min(state) and the Bonferroni sum
+    S_1 - S_2; above, the Heilbronn-Rohrbach bound 1 - prod(1 - 1/q)
+    (Hall-Tenenbaum, *Divisors*, ch. 0)."""
+    L = math.lcm(*state)
+    s1 = sum(L // q for q in state)
+    s2 = sum(L // math.lcm(a, b) for a, b in itertools.combinations(state, 2))
+    miss = L * math.prod(q - 1 for q in state) // math.prod(state)
+    return max(L // state[0], s1 - s2), L - miss, L
 
 
 def _valuation_density(gens: Iterable[int]) -> Fraction:
-    """Exact natural density of M(gens) by the valuation DP (memo per call)."""
+    """Exact natural density of M(gens) by the valuation DP (memo per call).
+    Raises ResourceError when the DP does not finish within MAX_DP_STATES
+    states."""
     gens = tuple(gens)
-    return _ValuationDP(gens).density(gens)
+    lo, hi = _ValuationDP(gens).bounds(gens)
+    if lo != hi:
+        raise ResourceError(f"valuation DP over {len(gens)} generators does not finish "
+                            f"within its budget of MAX_DP_STATES = {MAX_DP_STATES} states")
+    return lo
 
 
-def divisor_hit_densities(A: GeneratorSet) -> tuple[Fraction, Fraction]:
-    """Exact densities of the n with at least one and with exactly one
-    divisor in A, from one valuation-DP memo.
+def _bracket_estimate(lo: Fraction, hi: Fraction) -> DensityEstimate:
+    """exact_ie when lo == hi, else a valuation_bracket [lo, hi] whose float
+    ends are rounded outward."""
+    if lo == hi:
+        return exact_density(lo)
+    lower, upper = float(lo), float(hi)
+    lower = math.nextafter(lower, 0.0) if lower > lo else lower
+    upper = math.nextafter(upper, 1.0) if upper < hi else upper
+    return DensityEstimate(float((lo + hi) / 2), lower, upper, "valuation_bracket")
+
+
+def divisor_hit_densities(A: GeneratorSet) -> tuple[tuple[Fraction, Fraction], ...]:
+    """(lower, upper) for the densities of the n with at least one and with
+    exactly one divisor in A, from one valuation-DP memo; each pair is one
+    Fraction twice when the DP finishes within MAX_DP_STATES states.
 
     Given a | n, another b divides n iff b/gcd(a, b) divides n/a, so
     P(exactly one) = sum_a (1/a)(1 - d M({b/gcd(a, b) : b != a})); the term
@@ -233,12 +268,15 @@ def divisor_hit_densities(A: GeneratorSet) -> tuple[Fraction, Fraction]:
     """
     elems = A.elements
     dp = _ValuationDP(elems)
-    one = Fraction(0)
+    hit = dp.bounds(elems)  # first, so that the budget goes to it before the others
+    one_lo = one_hi = Fraction(0)
     for a in elems:
         rest = [b // math.gcd(a, b) for b in elems if b != a]
         if 1 not in rest:
-            one += (1 - dp.density(rest)) / a
-    return dp.density(elems), one
+            lo, hi = dp.bounds(rest)
+            one_lo += (1 - hi) / a
+            one_hi += (1 - lo) / a
+    return hit, (one_lo, one_hi)
 
 
 def _bonferroni_sums(gens: Sequence[int], maxsize: int) -> list[Fraction]:
@@ -310,9 +348,8 @@ def density_bracket(A: GeneratorSet, method: str = "auto", depth: int = 3) -> De
     """Natural density of M(A) with a rigorous bracket.
 
     exact_ie: the exact density from the valuation DP (module docstring),
-    with lower == upper == point and the Fraction in `exact`.  It takes at
-    most MAX_EXACT_GENERATORS generators after primitive reduction and
-    raises ResourceError when the DP passes MAX_DP_STATES states.
+    with lower == upper == point and the Fraction in `exact`.  It raises
+    ResourceError when the DP does not finish within MAX_DP_STATES states.
     bonferroni: alternating truncation of inclusion-exclusion over subset
     lcms; depth is 0-indexed, so depth d sums subset sizes 1..d+1 and an even
     depth ends on a positive term (upper bound), odd on negative (lower
@@ -320,19 +357,17 @@ def density_bracket(A: GeneratorSet, method: str = "auto", depth: int = 3) -> De
     bracket, and come exact from a DP over subset sizes and lcms
     (_bonferroni_sums), not a walk over subsets.  Before any work it raises
     ResourceError when that DP may pass MAX_LCM_VISITS (_check_lcm_work).
-    auto: exact_ie up to MAX_EXACT_GENERATORS generators, bonferroni beyond.
+    auto: the valuation DP under its state budget: exact_ie when it
+    finishes, else a valuation_bracket from the enclosures of the states
+    past the budget, its float ends rounded outward.
     """
     A = A.reduce()
     n = len(A)
     if n == 0:
         return exact_density(Fraction(0))
     if method == "auto":
-        method = "exact_ie" if n <= MAX_EXACT_GENERATORS else "bonferroni"
+        return _bracket_estimate(*_ValuationDP(A.elements).bounds(A.elements))
     if method == "exact_ie":
-        if n > MAX_EXACT_GENERATORS:
-            raise ResourceError(
-                f"exact density capped at {MAX_EXACT_GENERATORS} generators, got {n}"
-            )
         return exact_density(_valuation_density(A.elements))
     if method == "bonferroni":
         if depth < 0:
@@ -387,13 +422,13 @@ def log_density(A: GeneratorSet, x: int) -> DensityEstimate:
                            "logarithmic", params={"x": x})
 
 
-def sequential_density(A, T_grid: Sequence[int], **kw) -> list[DensityEstimate]:
-    """Exact truncated densities d M(A ∩ [1, T]) along the grid; the sequence
-    is non-decreasing since each truncation only adds generators."""
+def sequential_density(A, T_grid: Sequence[int]) -> list[DensityEstimate]:
+    """d M(A ∩ [1, T]) along the grid by density_bracket's auto route; it is
+    non-decreasing since each truncation only adds generators."""
     gens = block_elements(A) if isinstance(A, BlockSequence) else A
     out = []
     for T in T_grid:
-        est = density_bracket(gens.truncated(T), **kw)
+        est = density_bracket(gens.truncated(T))
         out.append(DensityEstimate(est.point, est.lower, est.upper, "sequential",
                                    params={"T": T, "inner": est.method}, exact=est.exact))
     return out
@@ -447,9 +482,8 @@ def criterion4_scan(A: GeneratorSet, eps: float, x: int) -> float:
 
 def behrend_ineq_check(A: GeneratorSet, B: GeneratorSet) -> tuple[float, float, bool]:
     """Both sides of 1 - dM(A ∪ B) >= (1 - dM(A))(1 - dM(B)) from exact
-    densities, compared as Fractions.  The densities come straight from the
-    valuation DP, so only MAX_DP_STATES bounds the sets, not a generator
-    count."""
+    valuation-DP densities, compared as Fractions; ResourceError when the DP
+    does not finish within MAX_DP_STATES states."""
     union = set(A.elements) | set(B.elements)
     da, db, du = (_valuation_density(G) for G in (A.elements, B.elements, union))
     lhs = 1 - du
@@ -603,9 +637,9 @@ def remainder_Rn(n: int, x: int) -> tuple[float, float, float]:
     """Remainder R_n(x) = |M([n, 2n]) ∩ [1, x]| - eps_n * x, with the
     eps_n bracket propagated into (R, R_lower, R_upper).
 
-    eps_n is exact when the interval has at most 24 integers after
-    primitive reduction, which drops 2n and keeps n of them, so for n <= 24;
-    otherwise it is a long-count estimate at 10^8."""
+    eps_n comes from density_bracket's auto route, so it is exact while the
+    valuation DP finishes within MAX_DP_STATES states, and a rigorous
+    valuation_bracket past that."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     if n == 1:
@@ -613,13 +647,8 @@ def remainder_Rn(n: int, x: int) -> tuple[float, float, float]:
         return 0.0, 0.0, 0.0
     A = GeneratorSet(interval=(n - 1, 2 * n))  # closed interval [n, 2n]
     cnt = multiples_count(A, x)
-    red = A.reduce()
-    if len(red) <= MAX_EXACT_GENERATORS:
-        est = density_bracket(red, method="exact_ie")
-    else:
-        est = sieve_density(red, 10**8)
-    r = cnt - est.point * x
-    return r, cnt - est.upper * x, cnt - est.lower * x
+    est = density_bracket(A)
+    return cnt - est.point * x, cnt - est.upper * x, cnt - est.lower * x
 
 
 def max_gap(n: int, X: int) -> tuple[int, int]:

@@ -205,15 +205,3 @@ def multiples_mask(generators, x: int) -> np.ndarray:
             break
         out[big[:k] * m] = True
     return out
-
-
-def interval_divisor_counts(x: int, y: int, z: int, closed_left: bool = False) -> np.ndarray:
-    """Number of divisors of each n <= x lying in (y, z] (or [y, z]),
-    saturating at 255."""
-    _check_cap(x)
-    cnt = np.zeros(x + 1, dtype=np.uint8)
-    lo = y if not closed_left else y - 1
-    for d in range(max(1, lo + 1), min(z, x) + 1):
-        sl = cnt[d::d]
-        np.add(sl, 1, out=sl, where=sl < 255)
-    return cnt

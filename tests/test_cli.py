@@ -91,6 +91,12 @@ def test_multiples_exact(capsys):
     assert rec["values"]["point"] == pytest.approx(17 / 35, abs=1e-10)
     assert rec["values"]["lower"] == rec["values"]["upper"]
     assert rec["values"]["method"] == "exact_ie"
+    # 30 generators: the valuation DP finishes within its state budget
+    code, out = run(capsys, "multiples", "--interval", "1000:1030", "--density", "exact")
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["values"]["method"] == "exact_ie"
+    assert rec["values"]["point"] == pytest.approx(0.0286149, abs=1e-7)
 
 
 def test_multiples_bonferroni(capsys):
@@ -118,6 +124,10 @@ def test_exp_eps(capsys):
     rec = json.loads(out)
     assert rec["values"]["rho1"] == pytest.approx(5 / 6, abs=1e-9)
     assert rec["values"]["eps"]["method"] == "exact_ie"
+    code, out = run(capsys, "exp", "--preset", "eps", "--y", "10", "--z", "40")
+    assert code == 0
+    values = json.loads(out)["values"]
+    assert values["eps"]["method"] == values["eps1"]["method"] == "exact_ie"
 
 
 def test_exp_dtheta(capsys):

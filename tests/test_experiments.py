@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import divilab.experiments as exp
-from divilab import DomainError, factor
+from divilab import DomainError, GeneratorSet, density_bracket, factor
 from divilab.multiples import SIGMA0
 
 from oracles import (
@@ -150,10 +150,19 @@ def test_eps_pair_sieve_counts():
     assert 0 < rho <= 1
     assert e1.point <= e.point
     assert e.method == "exact_ie"  # 10 integers in the interval
-    # force the counting route with a wide interval
+    # 30 integers: the valuation DP answers exactly; count the divisors in
+    # (10, 40] of each n <= x to check both densities within 2/sqrt(x)
     e, e1, rho = exp.eps_pair(10, 40, 10**5)
-    assert e.method == "sieve_count"
-    assert e1.point <= e.point and 0 < rho <= 1
+    assert e.method == e1.method == "exact_ie"
+    assert e.exact == density_bracket(GeneratorSet(interval=(10, 40)), method="exact_ie").exact
+    assert rho == float(e1.exact / e.exact)
+    x = 10**6
+    counts = np.zeros(x + 1, dtype=np.uint8)
+    for d in range(11, 41):
+        counts[d::d] += 1
+    band = 2 / math.sqrt(x)
+    assert abs(np.count_nonzero(counts[1:]) / x - e.point) <= band
+    assert abs(np.count_nonzero(counts[1:] == 1) / x - e1.point) <= band
 
 
 def test_eps_pair_ordering_property():
@@ -371,9 +380,11 @@ def test_constant_table_closed_forms():
 
 def test_beta_r_banding():
     assert exp.beta_r(1) == pytest.approx(math.log(3) - 1, abs=1e-15)
-    assert exp.beta_r(2) == exp.beta_r(3)
-    assert exp.beta_r(4) == exp.beta_r(7)
-    assert exp.beta_r(4) != exp.beta_r(8)
+    # m = r.bit_length(): constant on [2^(m-1), 2^m - 1], new at each power of two
+    for m in range(1, 13):
+        band = {exp.beta_r(r) for r in range(1 << (m - 1), 1 << m)}
+        assert len(band) == 1
+        assert exp.beta_r(1 << m) not in band
 
 
 def test_raouj_F():

@@ -424,21 +424,21 @@ def test_behrend_compares_fractions(monkeypatch):
 
 
 def test_behrend_past_generator_cap():
-    """A has 30 primitive generators, past MAX_EXACT_GENERATORS, which
-    density_bracket's exact_ie refuses; the DP answers it."""
+    """A has 30 primitive generators; exact_ie answers them with the
+    Fraction that behrend_ineq_check uses."""
     A = GeneratorSet(range(1001, 1031))
-    assert len(A.reduce()) > multiples_mod.MAX_EXACT_GENERATORS
-    with pytest.raises(ResourceError):
-        density_bracket(A, method="exact_ie")
+    assert len(A.reduce()) == 30
+    est = density_bracket(A, method="exact_ie")
+    assert est.exact == multiples_mod._valuation_density(A.elements)
     lhs, rhs, ok = behrend_ineq_check(A, GeneratorSet([2]))
     assert ok is True
+    assert rhs == float((1 - est.exact) / 2)  # (1 - dM(A)) (1 - 1/2)
     # the union reduces to 2 and the 15 odd members: 16 generators
     union = GeneratorSet([2, *range(1001, 1031, 2)])
     assert lhs == float(1 - density_bracket(union, method="exact_ie").exact)
-    dA = 1 - 2 * rhs  # rhs = (1 - dM(A)) (1 - 1/2)
-    assert dA == pytest.approx(0.0286149, abs=1e-7)
+    assert est.point == pytest.approx(0.0286149, abs=1e-7)
     bracket = density_bracket(A, method="bonferroni", depth=1)
-    assert bracket.lower <= dA <= bracket.upper
+    assert bracket.lower <= est.point <= bracket.upper
 
 
 def test_E_membership_examples():

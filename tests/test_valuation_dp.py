@@ -2,7 +2,8 @@
 
 The engine's density of M(A) must equal sum_k (-1)^(k-1) S_k exactly, and
 its exactly-one density sum_k (-1)^(k-1) k S_k, where S_k sums 1/lcm over
-the k-element subsets of A.
+the k-element subsets of A.  Under small state budgets, its brackets must
+contain the exact values.
 """
 
 import math
@@ -13,7 +14,7 @@ from itertools import combinations
 
 import pytest
 
-from divilab import GeneratorSet, ResourceError, density_bracket
+from divilab import GeneratorSet, ResourceError, density_bracket, remainder_Rn
 from divilab import multiples
 from divilab.experiments import eps_pair
 from divilab.multiples import _coprime_base, _valuation_density, divisor_hit_densities
@@ -37,41 +38,73 @@ def _check(gens):
     return sums
 
 
-def test_random_sets_match_oracle():
+def _random_sets():
     rng = random.Random(1729)
-    for _ in range(60):
-        _check(rng.sample(range(2, 501), rng.randint(2, 12)))
+    return [rng.sample(range(2, 501), rng.randint(2, 12)) for _ in range(60)]
 
 
-def test_intervals_match_oracle():
+def _interval_sets():
     rng = random.Random(2024)
     cases = [(1004, 14), (1000, 14), (2, 14), (1, 9)]
     cases += [(rng.randint(1, 1004), rng.randint(1, 14)) for _ in range(10)]
-    for y, n in cases:
-        _check(list(range(y + 1, y + n + 1)))
+    return [list(range(y + 1, y + n + 1)) for y, n in cases]
 
 
-def test_divisor_antichains_match_oracle():
+def _antichain_sets():
     rng = random.Random(PERIOD)
     by_omega = {}  # divisors with the same Omega form an antichain
     for d in trial_divisors(PERIOD)[1:]:
         by_omega.setdefault(sum(e for _, e in trial_factor(d)), []).append(d)
-    for k in (3, 4, 5, 6):
-        for size in (2, 6, 12):
-            pool = by_omega[k]
-            _check(rng.sample(pool, min(size, len(pool))))
+    return [rng.sample(by_omega[k], min(size, len(by_omega[k])))
+            for k in (3, 4, 5, 6) for size in (2, 6, 12)]
 
 
-def test_exactly_one_matches_oracle():
+def _exactly_one_sets():
     rng = random.Random(31)
     sets = [rng.sample(range(2, 501), rng.randint(1, 11)) for _ in range(30)]
     sets += [list(range(y + 1, y + n + 1)) for y, n in ((1000, 12), (1004, 14), (6, 10), (1, 8))]
     sets.append([6, 12, 18, 35])  # 6 divides 12 and 18: their terms vanish
-    for gens in sets:
+    return sets
+
+
+def _semiprimes():
+    # p_i * p_(49-i) over the first 48 primes: 2*223, 3*211, ..., 89*97
+    primes = [p for p in range(2, 224) if all(p % d for d in range(2, p))]
+    return [primes[i] * primes[47 - i] for i in range(24)]
+
+
+def _linked_products():
+    # x_i y_i for 20 small x_i and larger y_i, linked by prod y_i until the
+    # DP branches past the y_i; without splitting this takes 2^20 states
+    primes = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
+    xs, ys = primes[:20], primes[20:40]
+    return xs, ys, [x * y for x, y in zip(xs, ys)] + [math.prod(ys)]
+
+
+P61, P89, R17 = 2**61 - 1, 2**89 - 1, 10**17 + 3  # two Mersenne primes and a cofactor
+
+
+def test_random_sets_match_oracle():
+    for gens in _random_sets():
+        _check(gens)
+
+
+def test_intervals_match_oracle():
+    for gens in _interval_sets():
+        _check(gens)
+
+
+def test_divisor_antichains_match_oracle():
+    for gens in _antichain_sets():
+        _check(gens)
+
+
+def test_exactly_one_matches_oracle():
+    for gens in _exactly_one_sets():
         sums = naive_ie_sums(gens)
-        eps, eps1 = divisor_hit_densities(GeneratorSet(gens))
-        assert eps == _alternating(sums)
-        assert eps1 == _alternating(sums, weight=lambda k: k)
+        (eps, eps_hi), (eps1, eps1_hi) = divisor_hit_densities(GeneratorSet(gens))
+        assert eps == eps_hi == _alternating(sums)
+        assert eps1 == eps1_hi == _alternating(sums, weight=lambda k: k)
 
 
 def test_eps_pair_exact_route():
@@ -109,20 +142,14 @@ def test_coprime_base_refines_generators():
 
 
 def test_pairwise_coprime_semiprimes():
-    # p_i * p_(49-i) over the first 48 primes: 2*223, 3*211, ..., 89*97
-    primes = [p for p in range(2, 224) if all(p % d for d in range(2, p))]
-    gens = [primes[i] * primes[47 - i] for i in range(24)]
+    gens = _semiprimes()
     miss = math.prod(1 - Fraction(1, g) for g in gens)
     est = density_bracket(GeneratorSet(gens), method="exact_ie")
     assert est.method == "exact_ie" and est.exact == 1 - miss
 
 
 def test_groups_split_inside_the_dp(monkeypatch):
-    # x_i y_i for 20 small x_i and larger y_i, linked by prod y_i until the
-    # DP branches past the y_i; without splitting this takes 2^20 states
-    primes = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
-    xs, ys = primes[:20], primes[20:40]
-    gens = [x * y for x, y in zip(xs, ys)] + [math.prod(ys)]
+    xs, ys, gens = _linked_products()
     # 1 - d = P(no x_i y_i | n) - P(every y_i | n and no x_i y_i | n)
     miss = (math.prod(1 - Fraction(1, x * y) for x, y in zip(xs, ys))
             - math.prod(Fraction(1, y) * (1 - Fraction(1, x)) for x, y in zip(xs, ys)))
@@ -131,13 +158,84 @@ def test_groups_split_inside_the_dp(monkeypatch):
 
 
 def test_large_generators_need_no_factorisation():
-    p, q, r = 2**61 - 1, 2**89 - 1, 10**17 + 3  # two Mersenne primes and a cofactor
+    p, q, r = P61, P89, R17
     start = time.perf_counter()
     assert _valuation_density([p, q]) == 1 - (1 - Fraction(1, p)) * (1 - Fraction(1, q))
     # p divides both: d = (1/p)(1 - (1 - 1/q)(1 - 1/r)) when q and r are coprime
     assert math.gcd(q, r) == 1
     assert _valuation_density([p * q, p * r]) == Fraction(1, p) * (
         1 - (1 - Fraction(1, q)) * (1 - Fraction(1, r)))
-    eps, eps1 = divisor_hit_densities(GeneratorSet([p, q]))
-    assert eps1 == Fraction(1, p) * (1 - Fraction(1, q)) + Fraction(1, q) * (1 - Fraction(1, p))
+    _, (eps1, eps1_hi) = divisor_hit_densities(GeneratorSet([p, q]))
+    assert eps1 == eps1_hi == (Fraction(1, p) * (1 - Fraction(1, q))
+                               + Fraction(1, q) * (1 - Fraction(1, p)))
     assert time.perf_counter() - start < 1.0
+
+
+# ---------------------------------------------------------------------------
+# the enclosure past the state budget
+
+BUDGETS = (20, 200, 2000)
+WIDE = range(25, 61)  # (1000, 1000 + n] and remainder_Rn(n, .): past 24 generators
+EPS_WIDE = range(25, 33)
+
+
+def _encloses(est, exact):
+    if est.method == "exact_ie":
+        return est.exact == exact
+    return (est.method == "valuation_bracket" and est.lower <= est.upper
+            and Fraction(est.lower) <= exact <= Fraction(est.upper))
+
+
+@pytest.fixture(scope="module")
+def full_budget():
+    """Exact values at the full budget: for every set above, d M and the
+    exactly-one density; for (1000, 1000 + n], d M from one shared memo and,
+    for n in EPS_WIDE, the exactly-one density as sum_a d M(A) - d M(A - {a})
+    (n has a in A as its only divisor in A exactly when it lies in M(A) but
+    not in M(A - {a})); and remainder_Rn(n, 10^5)."""
+    _, _, linked = _linked_products()
+    sets = (_random_sets() + _interval_sets() + _antichain_sets() + _exactly_one_sets()
+            + [_semiprimes(), linked, [P61, P89], [P61 * P89, P61 * R17]])
+    small = []
+    for gens in sets:
+        _, (one, one_hi) = divisor_hit_densities(GeneratorSet(gens))
+        assert one == one_hi
+        small.append((gens, _valuation_density(gens), one))
+    dp = multiples._ValuationDP(range(1001, 1001 + max(WIDE)))
+    dens, ones = {}, {}
+    for n in reversed(WIDE):
+        A = range(1001, 1001 + n)
+        dens[n] = dp.bounds(A)[0]
+        if n in EPS_WIDE:
+            ones[n] = sum(dens[n] - dp.bounds([b for b in A if b != a])[0] for a in A)
+    assert len(dp.memo) < multiples.MAX_DP_STATES  # so every value above is exact
+    rn = {n: remainder_Rn(n, 10**5) for n in WIDE}
+    assert all(lo == r == hi for r, lo, hi in rn.values())
+    return small, dens, ones, rn
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_enclosure_contains_exact_on_test_sets(monkeypatch, full_budget, budget):
+    small = full_budget[0]
+    monkeypatch.setattr(multiples, "MAX_DP_STATES", budget)
+    for gens, d, one in small:
+        assert _encloses(density_bracket(GeneratorSet(gens)), d)
+        hit, exactly_one = divisor_hit_densities(GeneratorSet(gens))
+        assert _encloses(multiples._bracket_estimate(*hit), d)
+        assert _encloses(multiples._bracket_estimate(*exactly_one), one)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_enclosure_contains_exact_past_24_generators(monkeypatch, full_budget, budget):
+    _, dens, ones, rn = full_budget
+    monkeypatch.setattr(multiples, "MAX_DP_STATES", budget)
+    for n in WIDE:
+        est = density_bracket(GeneratorSet(interval=(1000, 1000 + n)))
+        assert _encloses(est, dens[n])
+        if budget == 20:
+            assert est.method == "valuation_bracket"
+        r, r_lo, r_hi = remainder_Rn(n, 10**5)
+        assert r_lo <= rn[n][0] <= r_hi and r_lo <= r <= r_hi
+    for n in EPS_WIDE:
+        e, e1, _ = eps_pair(1000, 1000 + n, 10**6)
+        assert _encloses(e, dens[n]) and _encloses(e1, ones[n])
