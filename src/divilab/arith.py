@@ -248,17 +248,46 @@ def basic_fns(f: Factored) -> ArithValues:
 
 
 def psi1_count(x: int, y: int) -> int:
-    """Number of squarefree n <= x with largest prime factor <= y (P^+(1)=1 counts)."""
+    """Psi_1(x, y): the number of squarefree n <= x with largest prime
+    factor <= y (P^+(1) = 1 counts), from recurrences over the quotients
+    V = {x // i} (`tables._quotients`), in O(sqrt(x)) memory.
+
+    F(v) counts the squarefree n <= v over the primes taken so far, from
+    F = 1 (n = 1); taking a prime p adds the n = p m with m <= v // p, so
+    F(v) += F(v // p) for each prime p <= min(y, s), s = isqrt(x).  An n <= x
+    with a prime p > s has only that one, and its cofactor m <= x // p < p is
+    smooth already, so those n add sum_{s < p <= y} Q(x // p), Q(t) the
+    number of squarefree m <= t: the primes with x // p = t are counted from
+    Lucy's prime counts on V (`tables._prime_pi`).
+    """
     import numpy as np
 
-    from .tables import _check_cap, _spf_walk
+    from .sieve import primes_upto
+    from .tables import _check_cap, _prime_pi, _quotients
 
     _check_cap(x)
     if y < 2:
         raise DomainError(f"need y >= 2, got {y}")
-    ok = np.zeros(x + 1, dtype=bool)
-    ok[1] = True
-    # n = p*m is squarefree and y-smooth iff m is and p = spf[n] is new and <= y
-    for lo, hi, p, m, spf in _spf_walk(x):
-        ok[lo:hi] = ok[m] & (spf[m] != p) & (p <= y)
-    return int(np.count_nonzero(ok))
+    y = min(y, x)
+    s = math.isqrt(x)
+    V, index = _quotients(x)
+    F = np.ones(len(V), dtype=np.int64)
+    for p in primes_upto(min(y, s)):
+        F[p - 1:] += F[index(V[p - 1:] // p)]  # V[p - 1] = p; the gather reads F before p
+    count = int(F[-1])
+    if y > s:
+        sq = np.ones(s + 1, dtype=bool)
+        sq[0] = False
+        for d in range(2, math.isqrt(s) + 1):
+            sq[d * d::d * d] = False
+        Q = np.cumsum(sq)
+        _, _, pi = _prime_pi(x)
+        # pi(y) when y is not a quotient: Lucy's sieve on y's own quotients
+        pi_y = int(pi[index(y)]) if V[index(y)] == y else int(_prime_pi(y)[2][-1])
+        # the p > s with x // p = t lie in (x // (t + 1), x // t], and
+        # x // (t + 1) >= s for every t <= x // (s + 1)
+        t = np.arange(1, x // (s + 1) + 1, dtype=np.int64)
+        top = x // t
+        hi = np.where(top <= y, pi[index(top)], pi_y)
+        count += int(np.sum(Q[t] * np.maximum(hi - pi[index(x // (t + 1))], 0)))
+    return count

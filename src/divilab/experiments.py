@@ -25,6 +25,7 @@ from .tables import (
     _PAIR_WINDOW,
     _check_cap,
     _divisor_pairs,
+    _prime_pi,
     e_set_mask,
     gpf_table,
     interval_multiples_hits,
@@ -324,15 +325,29 @@ def omega_median_count(x: int) -> OmegaMedianResult:
     """Count of n <= x with Omega(n) <= ln ln x; formula_gap is the
     empirical estimate of the negated constant in the secondary term.
 
+    Omega(n) is an integer, so the count is that of Omega(n) <= K =
+    floor(ln ln x): n = 1, then pi(x) primes, then the products p q with
+    p <= q, sum_{p <= sqrt(x)} (pi(x // p) - pi(p) + 1), with pi from Lucy's
+    sieve on the quotients x // i (`tables._prime_pi`), in O(sqrt(x)) memory.
+
     The source's printed constant (0.36798) does not match a direct reading
     of its defining formula (about -1.178); both are reported, nothing is
     asserted.
     """
     if x < 3:
         raise DomainError(f"need x >= 3, got {x}")
-    om = omega_table(x, with_multiplicity=True)
+    _check_cap(x)
     llx = math.log(math.log(x))
-    count = int(np.count_nonzero(om[1:] <= llx))
+    K = math.floor(llx)
+    if K > 2:  # the scan cap (2e8) lies below e^(e^3) ~ 5.3e8
+        raise ResourceError(f"Omega <= {K} is not counted; x = {x} passes e^(e^3)")
+    _, index, pi = _prime_pi(x)
+    count = 1
+    if K >= 1:
+        count += int(pi[-1])
+    if K >= 2:
+        ps = primes_upto(math.isqrt(x))
+        count += int(np.sum(pi[index(x // ps)] - pi[ps - 1] + 1))  # V[p - 1] = p
     gap = (count - x / 2) * math.sqrt(2 * math.pi * llx) / x + (llx - math.floor(llx))
     A = mertens_A().point
     pr = primes_upto(10**6).astype(np.float64)

@@ -246,15 +246,20 @@ def _valuation_density(gens: Iterable[int]) -> Fraction:
     return lo
 
 
+def _outward(lo: Fraction, hi: Fraction) -> tuple[float, float]:
+    """Float ends around [lo, hi]: the nearest float to each, moved one ulp
+    outward when rounding took it inside."""
+    lower, upper = float(lo), float(hi)
+    return (math.nextafter(lower, -math.inf) if lower > lo else lower,
+            math.nextafter(upper, math.inf) if upper < hi else upper)
+
+
 def _bracket_estimate(lo: Fraction, hi: Fraction) -> DensityEstimate:
     """exact_ie when lo == hi, else a valuation_bracket [lo, hi] whose float
     ends are rounded outward."""
     if lo == hi:
         return exact_density(lo)
-    lower, upper = float(lo), float(hi)
-    lower = math.nextafter(lower, 0.0) if lower > lo else lower
-    upper = math.nextafter(upper, 1.0) if upper < hi else upper
-    return DensityEstimate(float((lo + hi) / 2), lower, upper, "valuation_bracket")
+    return DensityEstimate(float((lo + hi) / 2), *_outward(lo, hi), "valuation_bracket")
 
 
 def divisor_hit_densities(A: GeneratorSet) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -387,8 +392,7 @@ def density_bracket(A: GeneratorSet, method: str = "auto", depth: int = 3) -> De
             lo, hi = min(a, b), max(a, b)
         lo = max(lo, Fraction(0))  # the alternating bounds can be trivial
         hi = min(hi, Fraction(1))
-        point = (lo + hi) / 2
-        return DensityEstimate(float(point), float(lo), float(hi), "bonferroni",
+        return DensityEstimate(float((lo + hi) / 2), *_outward(lo, hi), "bonferroni",
                                params={"depth": depth})
     raise DomainError(f"unknown density method {method!r}")
 
@@ -637,9 +641,11 @@ def remainder_Rn(n: int, x: int) -> tuple[float, float, float]:
     """Remainder R_n(x) = |M([n, 2n]) ∩ [1, x]| - eps_n * x, with the
     eps_n bracket propagated into (R, R_lower, R_upper).
 
-    eps_n comes from density_bracket's auto route, so it is exact while the
-    valuation DP finishes within MAX_DP_STATES states, and a rigorous
-    valuation_bracket past that."""
+    eps_n comes as Fraction ends from the valuation DP, as in
+    density_bracket's auto route: one value while the DP finishes within
+    MAX_DP_STATES states, a rigorous bracket past that.  The remainders are
+    formed as Fractions; R (at the bracket's midpoint) is rounded to the
+    nearest float, R_lower down and R_upper up."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     if n == 1:
@@ -647,8 +653,9 @@ def remainder_Rn(n: int, x: int) -> tuple[float, float, float]:
         return 0.0, 0.0, 0.0
     A = GeneratorSet(interval=(n - 1, 2 * n))  # closed interval [n, 2n]
     cnt = multiples_count(A, x)
-    est = density_bracket(A)
-    return cnt - est.point * x, cnt - est.upper * x, cnt - est.lower * x
+    gens = A.reduce().elements
+    lo, hi = _ValuationDP(gens).bounds(gens)
+    return (float(cnt - (lo + hi) / 2 * x), *_outward(cnt - hi * x, cnt - lo * x))
 
 
 def max_gap(n: int, X: int) -> tuple[int, int]:

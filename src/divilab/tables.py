@@ -1,10 +1,16 @@
 """Vectorized whole-range tables for counting scans up to ~10^8.
 
-Prime-factor tables (omega, Omega, P^+, and the squarefree smooth count in
-`arith.psi1_count`) are derived from the SPF sieve by one recurrence:
-`_spf_walk` visits n = 2..x in ascending chunks below 2*lo, so the cofactor
-m = n/spf[n] < lo of every n in a chunk is already finished, and each table
-fills a whole chunk with one numpy expression in t[m], spf[n] and spf[m].
+Prime-factor tables (omega, Omega, P^+) are derived from the SPF sieve by
+one recurrence: `_spf_walk` visits n = 2..x in ascending chunks below 2*lo,
+so the cofactor m = n/spf[n] < lo of every n in a chunk is already finished,
+and each table fills a whole chunk with one numpy expression in t[m], spf[n]
+and spf[m].
+
+Single counts up to x (`arith.psi1_count`,
+`experiments.omega_median_count`) need no table: they come from recurrences
+over the about 2 sqrt(x) values floor(x/i) (`_quotients`), as in the
+Legendre / Meissel-Lehmer method, with prime counts from Lucy's sieve
+(`_prime_pi`).
 
 Divisor-indexed tables share one hyperbola walker, `_hyperbola`: divisors
 d <= sqrt(x) are marked with one strided slice per d, and larger divisors
@@ -29,7 +35,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DEFAULT_SCAN_CAP, DomainError, ResourceError
-from .sieve import SpfSieve
+from .sieve import SpfSieve, primes_upto
 
 _WALK_CHUNK = 1 << 20  # bounds the per-chunk temporaries
 
@@ -52,6 +58,34 @@ def _spf_walk(x: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.nda
         p = spf[lo:hi]
         yield lo, hi, p, np.arange(lo, hi, dtype=p.dtype) // p, spf
         lo = hi
+
+
+def _quotients(x: int):
+    """(V, index): V = {x // i : i >= 1} ascending as int64, about 2 sqrt(x)
+    values, and the position of each w in V, vectorized: w - 1 for
+    w <= s = isqrt(x), len(V) - x // w above.  Every v // p with v = x // i
+    in V is x // (i p), in V too, so a recurrence over V reads only V."""
+    s = math.isqrt(x)
+    V = np.concatenate((np.arange(1, s + 1, dtype=np.int64),
+                        x // np.arange(x // (s + 1), 0, -1, dtype=np.int64)))
+    n = len(V)
+
+    def index(w):
+        return np.where(w <= s, w - 1, n - x // w)
+    return V, index
+
+
+def _prime_pi(x: int):
+    """(V, index, pi) with pi[i] = pi(V[i]) on the quotients of x, by Lucy's
+    sieve: from pi(v) = v - 1, each prime p <= sqrt(x) in turn removes from
+    every v >= p^2 the pi(v // p) - pi(p - 1) numbers whose smallest prime
+    factor is p.  The gather reads the values from before p."""
+    V, index = _quotients(x)
+    pi = V - 1
+    for p in primes_upto(math.isqrt(x)):
+        j = int(np.searchsorted(V, p * p))
+        pi[j:] -= pi[index(V[j:] // p)] - pi[p - 2]
+    return V, index, pi
 
 
 def _hyperbola(a: int, b: int, d_lo: int = 1, d_hi: int | None = None):

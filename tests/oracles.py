@@ -240,7 +240,8 @@ def naive_bonferroni(gens, depth):
     """(point, lower, upper) of the Bonferroni bracket of depth `depth` on the
     primitive generators gens: one Fraction(1, lcm) per subset of size
     1..min(depth + 2, n), with each lcm recomputed from scratch.  The last two
-    partial sums of inclusion-exclusion bracket the density; clamp to [0, 1]."""
+    partial sums of inclusion-exclusion bracket the density; clamp to [0, 1]
+    and take each end to the nearest float on its outer side."""
     from fractions import Fraction
     from itertools import combinations
 
@@ -262,7 +263,12 @@ def naive_bonferroni(gens, depth):
     else:
         lo, hi = sorted(partials[-2:])
     lo, hi = max(lo, Fraction(0)), min(hi, Fraction(1))
-    return float((lo + hi) / 2), float(lo), float(hi)
+    lower, upper = float(lo), float(hi)
+    if Fraction(lower) > lo:
+        lower = math.nextafter(lower, -math.inf)
+    if Fraction(upper) < hi:
+        upper = math.nextafter(upper, math.inf)
+    return float((lo + hi) / 2), lower, upper
 
 
 def naive_multiples_count(gens, x):

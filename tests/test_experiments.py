@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ from oracles import (
     naive_h_count,
     naive_phi,
     riemann_integral,
+    sieve_omega_table,
     trial_divisors,
 )
 
@@ -249,6 +251,21 @@ def test_omega_median_count():
     r2 = exp.omega_median_count(10**5)
     assert 0 < r2.count <= 10**5
     assert math.isfinite(r2.formula_gap)
+
+
+def test_omega_median_count_matches_oracle(monkeypatch):
+    # each call lists the primes to 10^6 for its formula constant: list them once
+    monkeypatch.setattr(exp, "primes_upto", functools.lru_cache(exp.primes_upto))
+    # K = floor(ln ln x) steps 0 -> 1 at 15/16 and 1 -> 2 at 1618/1619
+    assert math.floor(math.log(math.log(15))) == 0 < math.floor(math.log(math.log(16)))
+    assert math.floor(math.log(math.log(1618))) == 1 < math.floor(math.log(math.log(1619)))
+    Omega = sieve_omega_table(2000, with_multiplicity=True)
+    for x in range(3, 2001):
+        want = int(np.count_nonzero(Omega[1:x + 1] <= math.log(math.log(x))))
+        assert exp.omega_median_count(x).count == want, x
+    Omega = sieve_omega_table(10**6, with_multiplicity=True)
+    want = int(np.count_nonzero(Omega[1:] <= math.log(math.log(10**6))))
+    assert exp.omega_median_count(10**6).count == want
 
 
 def test_totient_values():

@@ -1,4 +1,5 @@
-"""The SPF-derived tables against the per-prime strided sieves they replaced,
+"""The SPF-derived tables and the quotient-recurrence counts against the
+per-prime strided sieves they replaced,
 the tau^+ bitmask kernel against the per-cell builder it replaced, and the
 hyperbola walker, the divisor-pair kernel and the multiples mask against
 trial division and trial marking.
@@ -14,10 +15,14 @@ import random
 import numpy as np
 import pytest
 
-from divilab import DomainError, psi1_count
+from divilab import DomainError, ResourceError, psi1_count
+from divilab.errors import DEFAULT_SCAN_CAP
+from divilab.experiments import omega_median_count
+from divilab.sieve import SpfSieve
 from divilab.tables import (
     _divisor_pairs,
     _hyperbola,
+    _quotients,
     e_set_mask,
     gpf_table,
     interval_multiples_hits,
@@ -71,12 +76,56 @@ def test_gpf_table_matches_oracle(oracle_tables, x):
     _same(gpf_table(x), oracle_tables["gpf"][:x + 1])
 
 
-@pytest.mark.parametrize("x", XS)
+@pytest.mark.parametrize("x", sorted({*range(1, 65), 97, 4095, 4096, 4097, 10**5, *XS}))
 def test_psi1_count_matches_oracle(oracle_tables, x):
-    for y in YS:
+    # y on both sides of s = isqrt(x), where the prime-by-prime recurrence
+    # hands over to the count of n with one prime above s, and past x
+    s = math.isqrt(x)
+    for y in sorted({*YS, s - 1, s, s + 1, x // 2, x, x + 5}):
+        if y < 2:
+            continue
         got = psi1_count(x, y)
         assert type(got) is int
-        assert got == int(oracle_tables["psi1"][y][x])
+        if y in YS:
+            assert got == int(oracle_tables["psi1"][y][x]), (x, y)
+        else:
+            assert got == int(np.count_nonzero(sieve_psi1_mask(x, min(y, x)))), (x, y)
+
+
+def test_quotients_index_round_trips():
+    for x in [*range(1, 2001), 10**6]:
+        V, index = _quotients(x)
+        assert V.dtype == np.int64 and V[0] == 1 and V[-1] == x
+        assert np.all(np.diff(V) > 0), x
+        assert np.array_equal(index(V), np.arange(len(V))), x
+        if x <= 2000:
+            assert V.tolist() == sorted({x // i for i in range(1, x + 1)}), x
+
+
+def test_quotient_counts_build_no_spf_sieve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("SPF sieve built")
+
+    monkeypatch.setattr(SpfSieve, "build", refuse)
+    assert psi1_count(10**6, 1050) == 157931
+    assert psi1_count(10**6, 10**6) == 607926
+    assert omega_median_count(10**6).count == 288534
+
+
+def test_quotient_counts_raise_past_scan_cap():
+    with pytest.raises(ResourceError):
+        psi1_count(DEFAULT_SCAN_CAP + 1, 1050)
+    with pytest.raises(ResourceError):
+        omega_median_count(DEFAULT_SCAN_CAP + 1)
+
+
+def test_omega_median_count_refuses_three_factors(monkeypatch):
+    # the count covers Omega <= 2, which is all of Omega <= ln ln x below the cap
+    assert DEFAULT_SCAN_CAP < math.exp(math.e ** 3)
+    import divilab.experiments as exp
+    monkeypatch.setattr(exp, "_check_cap", lambda x: None)
+    with pytest.raises(ResourceError):
+        omega_median_count(math.ceil(math.exp(math.e ** 3)))
 
 
 @pytest.mark.parametrize("x", XS)

@@ -3,7 +3,8 @@
 The engine's density of M(A) must equal sum_k (-1)^(k-1) S_k exactly, and
 its exactly-one density sum_k (-1)^(k-1) k S_k, where S_k sums 1/lcm over
 the k-element subsets of A.  Under small state budgets, its brackets must
-contain the exact values.
+contain the exact values, and so must the float ends of the Bonferroni
+brackets and of the remainders R_n(x).
 """
 
 import math
@@ -12,6 +13,7 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from divilab import GeneratorSet, ResourceError, density_bracket, remainder_Rn
@@ -19,7 +21,7 @@ from divilab import multiples
 from divilab.experiments import eps_pair
 from divilab.multiples import _coprime_base, _valuation_density, divisor_hit_densities
 
-from oracles import naive_ie_sums, trial_divisors, trial_factor
+from oracles import naive_ie_sums, trial_divisors, trial_factor, trial_multiples_mask
 
 PERIOD = 720720
 
@@ -116,6 +118,29 @@ def test_eps_pair_exact_route():
     assert rho == float(eps1.exact / eps.exact)
 
 
+def test_bonferroni_ends_round_outward():
+    # the float nearest 1/3 lies below it, so the upper end must not be that float
+    est = density_bracket(GeneratorSet([3]), method="bonferroni", depth=0)
+    assert Fraction(float(Fraction(1, 3))) < Fraction(1, 3) <= Fraction(est.upper)
+    for gens in _antichain_sets():
+        exact = _alternating(naive_ie_sums(gens))
+        for depth in range(4):
+            est = density_bracket(GeneratorSet(gens), method="bonferroni", depth=depth)
+            assert Fraction(est.lower) <= exact <= Fraction(est.upper), (gens, depth)
+
+
+def test_remainder_Rn_rounds_exact_remainder():
+    x = 10**5
+    assert remainder_Rn(12, x)[0] == float(Fraction(-6143026, 676039))
+    for n in (12, 30, 200):
+        A = GeneratorSet(interval=(n - 1, 2 * n))
+        cnt = int(np.count_nonzero(trial_multiples_mask(A.elements, x)))
+        exact = cnt - density_bracket(A, method="exact_ie").exact * x
+        r, r_lo, r_hi = remainder_Rn(n, x)
+        assert Fraction(r_lo) <= exact <= Fraction(r_hi), n
+        assert r == float(exact)
+
+
 def test_state_cap_raises(monkeypatch):
     monkeypatch.setattr(multiples, "MAX_DP_STATES", 20)
     with pytest.raises(ResourceError, match="states"):
@@ -210,7 +235,8 @@ def full_budget():
             ones[n] = sum(dens[n] - dp.bounds([b for b in A if b != a])[0] for a in A)
     assert len(dp.memo) < multiples.MAX_DP_STATES  # so every value above is exact
     rn = {n: remainder_Rn(n, 10**5) for n in WIDE}
-    assert all(lo == r == hi for r, lo, hi in rn.values())
+    # each exact remainder is one Fraction, its float ends at most one ulp apart
+    assert all(lo <= r <= hi <= math.nextafter(lo, math.inf) for r, lo, hi in rn.values())
     return small, dens, ones, rn
 
 
@@ -235,7 +261,7 @@ def test_enclosure_contains_exact_past_24_generators(monkeypatch, full_budget, b
         if budget == 20:
             assert est.method == "valuation_bracket"
         r, r_lo, r_hi = remainder_Rn(n, 10**5)
-        assert r_lo <= rn[n][0] <= r_hi and r_lo <= r <= r_hi
+        assert r_lo <= rn[n][1] and rn[n][2] <= r_hi and r_lo <= r <= r_hi
     for n in EPS_WIDE:
         e, e1, _ = eps_pair(1000, 1000 + n, 10**6)
         assert _encloses(e, dens[n]) and _encloses(e1, ones[n])
