@@ -198,20 +198,6 @@ def divisors(f: Factored, cap: int = DEFAULT_DIVISOR_CAP) -> DivisorSpectrum:
     return DivisorSpectrum(f.n, tuple(divs), tuple(math.log(d) for d in divs))
 
 
-def divisor_mobius(f: Factored) -> list[tuple[int, int]]:
-    """(divisor, mu(divisor)) pairs sorted by divisor."""
-    pairs = [(1, 1)]
-    for p, e in f.factors:
-        block = list(pairs)
-        pe = 1
-        for j in range(1, e + 1):
-            pe *= p
-            mu_fac = -1 if j == 1 else 0
-            pairs.extend((d * pe, m * mu_fac) for d, m in block)
-    pairs.sort()
-    return pairs
-
-
 @dataclass(frozen=True)
 class ArithValues:
     tau: int

@@ -338,7 +338,7 @@ def _run_lambdad(args, cfg):
     from .locallaws import Lambda_kd, _exact_gens
 
     # Monte Carlo needs a seed, whether asked for or the default past the exact cap
-    if cfg.seed is None and _exact_gens(args.d, args.method) is None:
+    if cfg.seed is None and _exact_gens(args.k, args.d, args.method) is None:
         raise UsageError(f"the Monte Carlo route at d={args.d} requires --seed")
     est = Lambda_kd(args.k, args.d, method=args.method,
                     samples=args.samples, seed=cfg.seed)

@@ -349,10 +349,9 @@ def omega_median_count(x: int) -> OmegaMedianResult:
         ps = primes_upto(math.isqrt(x))
         count += int(np.sum(pi[index(x // ps)] - pi[ps - 1] + 1))  # V[p - 1] = p
     gap = (count - x / 2) * math.sqrt(2 * math.pi * llx) / x + (llx - math.floor(llx))
-    A = mertens_A().point
-    pr = primes_upto(10**6).astype(np.float64)
+    pr = primes_upto(10**6).astype(np.float64)  # mertens_A's default limit
     s = float(np.sum(1.0 / (pr * (pr - 1.0))))
-    return OmegaMedianResult(x, count, gap, 0.36798, A - 2.0 / 3.0 - s)
+    return OmegaMedianResult(x, count, gap, 0.36798, _mertens_point(pr) - 2.0 / 3.0 - s)
 
 
 def totient_values(x: int) -> int:
@@ -485,27 +484,22 @@ def exceptional_count(x: int) -> int:
 # ---------------------------------------------------------------------------
 # named constants
 
-_mertens_cache: BracketedValue | None = None
-
 EULER_GAMMA = 0.5772156649015328606
+
+
+def _mertens_point(ps: np.ndarray) -> float:
+    """gamma - sum over the primes ps of (log(1/(1-1/p)) - 1/p), the terms
+    added in ascending order."""
+    ip = 1.0 / ps
+    terms = -np.log1p(-ip) - ip
+    return EULER_GAMMA - (float(np.add.accumulate(terms)[-1]) if len(terms) else 0.0)
 
 
 def mertens_A(prime_limit: int = 10**6) -> BracketedValue:
     """gamma - sum over primes of (log(1/(1-1/p)) - 1/p), summed to the
     given limit with the tail bounded by sum 1/(2n(n-1)) < 1/prime_limit."""
-    global _mertens_cache
-    if _mertens_cache is not None and prime_limit == 10**6:
-        return _mertens_cache
-    s = 0.0
-    for p in primes_upto(prime_limit):
-        ip = 1.0 / int(p)
-        s += -math.log1p(-ip) - ip
-    tail = 1.0 / prime_limit
-    val = EULER_GAMMA - s
-    out = BracketedValue(val, val - tail, val)
-    if prime_limit == 10**6:
-        _mertens_cache = out
-    return out
+    val = _mertens_point(primes_upto(prime_limit))
+    return BracketedValue(val, val - 1.0 / prime_limit, val)
 
 
 def beta_r(r: int) -> float:

@@ -7,11 +7,15 @@ The density of integers whose k-th smallest distinct prime factor equals p is
 where e_j(p) is the j-th elementary symmetric function of {1/(q-1): q < p}.
 The e_j are accumulated by an all-positive DP (no cancellation), so doubles
 carry relative error O(pi(p) * ulp) -- certified against an exact-rational
-oracle for small p in the tests.  The DP runs column by column: e_j at every
-prime is a prefix sum of e_{j-1} / (q - 1), one numpy accumulate per column,
-and it stops at the first column that is all zero.  The e_j underflow long
-before j reaches pi(p) (178 nonzero columns at p = 60013, against 6057
-primes below it), so this costs O(J * pi(p)) rather than O(pi(p)^2).
+oracle for small p in the tests.  The DP (`_columns`) runs column by column
+over all the primes at once: e_j at every prime is a prefix sum of
+e_{j-1} / (q - 1), one numpy accumulate per whole column, and it stops at
+the first column that is all zero.  The e_j underflow long before j reaches
+pi(p) (178 nonzero columns at p = 60013, against 6057 primes below it), so
+this costs O(J * pi(p)) rather than O(pi(p)^2).  Two columns are live, 288 KB
+at the median's pmax = 200000, so the primes need no blocks: each caller
+reads each column as it passes (its last entry, or the lambda_k column), and
+a batch of primes would read the same columns at their indices.
 
 The exact k-th-divisor law forms no array, so the module imports no numpy:
 the sweeps, the prime lists (`sieve`) and the Monte Carlo path import them
@@ -28,96 +32,75 @@ from .density import DensityEstimate, exact_density
 from .errors import DomainError, ResourceError
 from .multiples import _bonferroni_sums, _check_lcm_work
 
-# Primes per block of the column DP.  A sweep that keeps its table holds J
-# columns of _BLOCK + 1 doubles (2.9 MB for the 178 columns at p = 60013).
-_BLOCK = 1 << 11
 
+def _columns(ps: np.ndarray, size: int):
+    """(prods, columns) of the e_j DP over the ascending primes ps: entry r
+    of prods is prod (1 - 1/q), and of column j (j < size) e_j, over the
+    primes before ps[r]; the last entries cover all of ps.
 
-def _sweep_columns(ps: np.ndarray, size: int, keep: bool = True):
-    """The e_j DP over the ascending primes ps, in blocks of _BLOCK primes.
-
-    For the block ps[lo:lo + m] it yields (lo, prods, E, last).  Step
-    r = 0..m of the block describes the primes before ps[lo + r]: prods[r]
-    is prod (1 - 1/q) over them and E[j, r] is their e_j, for
-    j < len(E) <= size; every later e_j is zero.  Step m (after the block's
-    last prime) is also the next block's step 0, and last[j] is its e_j for
-    every j < size.  An empty ps yields one block of the single step before
-    any prime.  With keep=False, E is None and only two columns are held.
-
-    Column j of the DP, E[j], is col_j[r + 1] = col_j[r] + col_{j-1}[r] /
-    (p_r - 1): one divide and one sequential accumulate, the same float
-    operations in the same order as updating all e_j one prime at a time.  A
-    column's entries are running sums of nonnegative terms, so one whose last
-    entry is 0 is 0 throughout, and so is every later column: the block stops
-    there.  Each column's last entry seeds the next block.  E and last are
-    views of buffers that the next block overwrites.
+    Column j is col_j[r + 1] = col_j[r] + col_{j-1}[r] / (ps[r] - 1): one
+    divide and one sequential accumulate, the same float operations in the
+    same order as updating all e_j one prime at a time.  Its entries are
+    running sums of nonnegative terms, so a column whose last entry is 0 is
+    0 throughout, as is every later one: columns stops before it.  Two
+    columns are live, so each one yielded is overwritten two columns later.
     """
     import numpy as np
 
     ps = np.asarray(ps, dtype=np.float64)
-    width = min(len(ps), _BLOCK) + 1
-    E = np.empty((min(size, 256) if keep else 2, width))  # one column per row
-    last = np.zeros(size)
-    last[0] = 1.0
-    prod = 1.0
-    for lo in range(0, max(len(ps), 1), _BLOCK):
-        q = ps[lo:lo + _BLOCK]
-        m = len(q)
-        prods = np.empty(m + 1)
-        prods[0] = prod
-        np.subtract(1.0, 1.0 / q, out=prods[1:])
-        np.multiply.accumulate(prods, out=prods)
-        qm1 = q - 1.0
-        E[0, :m + 1] = 1.0
-        j = 1
-        while j < size:
-            if keep and j == len(E):
-                E = np.concatenate((E, np.empty_like(E)))[:size]
-            col = E[j % len(E), :m + 1]  # without keep, columns take turns in two rows
-            col[0] = last[j]
-            np.divide(E[(j - 1) % len(E), :m], qm1, out=col[1:])
+    prods = np.empty(len(ps) + 1)
+    prods[0] = 1.0
+    np.subtract(1.0, 1.0 / ps, out=prods[1:])
+    np.multiply.accumulate(prods, out=prods)
+
+    def columns():
+        qm1 = ps - 1.0
+        E = np.ones((2, len(ps) + 1))  # column j lives in row j % 2
+        yield E[0]
+        for j in range(1, size):
+            col = E[j % 2]
+            col[0] = 0.0
+            np.divide(E[1 - j % 2, :-1], qm1, out=col[1:])
             np.add.accumulate(col, out=col)
-            last[j] = col[m]
-            if col[m] == 0.0:
-                break
-            j += 1
-        prod = prods[m]
-        yield lo, prods, E[:j, :m + 1] if keep else None, last
+            if col[-1] == 0.0:
+                return
+            yield col
 
-
-def lambda_sweep(pmax: int, kmax: int | None = None):
-    """Iterate primes p <= pmax in ascending order, yielding
-    (p, prod_{q<p}(1-1/q), e, seen) where e[j] is the elementary symmetric
-    function of {1/(q-1): q < p} truncated at kmax and seen = pi(p - 1).
-
-    The rows come from the column-wise DP (_sweep_columns), which stops at
-    the first all-zero column; e is zero past it.  The e buffer is reused
-    between iterations; copy it if you keep it.
-    """
-    import numpy as np
-
-    from .sieve import primes_upto
-
-    ps = primes_upto(pmax)
-    size = (len(ps) if kmax is None else min(kmax, len(ps))) + 1
-    e = np.zeros(size)
-    for lo, prods, E, _ in _sweep_columns(ps, size):
-        J = len(E)
-        for r in range(len(prods) - 1):
-            e[:J] = E[:, r]
-            yield int(ps[lo + r]), float(prods[r]), e, lo + r
+    return prods, columns()
 
 
 def _state_at(p: int, kmax: int | None = None):
-    """The sweep's state at the prime p: (prod_{q<p}(1-1/q), e, pi(p - 1))."""
+    """The DP's state at the prime p: (prod_{q<p}(1-1/q), e, pi(p - 1)), e[j]
+    the last entry of whole column j over the primes below p (0 past the
+    last column), for j <= min(kmax, pi(p - 1) + 1)."""
+    import numpy as np
+
     from .sieve import primes_upto
 
     ps = primes_upto(p - 1)
     seen = len(ps)
     size = (seen + 1 if kmax is None else min(kmax, seen + 1)) + 1
-    for _, prods, _, last in _sweep_columns(ps, size, keep=False):
-        pass
-    return float(prods[-1]), last, seen
+    prods, columns = _columns(ps, size)
+    e = np.zeros(size)
+    for j, col in enumerate(columns):
+        e[j] = col[-1]
+    return float(prods[-1]), e, seen
+
+
+def _lambda_column(k: int, ps: np.ndarray):
+    """(lambda_k at each prime of ps, tail), read from column k - 1 of the
+    DP over ps; tail = prod * sum_{j<k} e_j after the last prime of ps."""
+    import numpy as np
+
+    size = min(k, len(ps) + 1)
+    prods, columns = _columns(ps, size)
+    last = np.zeros(size)
+    lam = np.zeros(len(ps))  # stays 0 when the columns stop before k - 1
+    for j, col in enumerate(columns):
+        last[j] = col[-1]
+        if j == k - 1:
+            lam = col[:-1] * prods[:-1] / ps
+    return lam, float(prods[-1] * last.sum())
 
 
 def _require_prime(p: int, caller: str) -> None:
@@ -174,6 +157,8 @@ class LocalLawRow:
 
 
 def lambda_row(k: int, P: int) -> LocalLawRow:
+    """lambda_k(p) at every prime p <= P and the tail after P, from one pass
+    over the DP's whole columns (`_lambda_column`)."""
     import numpy as np
 
     from .sieve import primes_upto
@@ -183,13 +168,7 @@ def lambda_row(k: int, P: int) -> LocalLawRow:
     if P < 2:
         raise DomainError(f"need P >= 2, got {P}")
     ps = primes_upto(P)
-    lams = []
-    for lo, prods, E, last in _sweep_columns(ps, min(k, len(ps) + 1)):
-        q = ps[lo:lo + len(prods) - 1]
-        lams.append(E[k - 1, :-1] * prods[:-1] / q if k <= len(E) else np.zeros(len(q)))
-    lam = np.concatenate(lams)
-    # the step after the last prime <= P covers exactly the primes <= P
-    tail = float(prods[-1] * last.sum())
+    lam, tail = _lambda_column(k, ps)
     entries = tuple(zip(ps.tolist(), lam.tolist()))
     return LocalLawRow(k, entries, float(np.add.accumulate(lam)[-1]), tail)
 
@@ -209,6 +188,9 @@ def median_prime_detail(k: int, pmax: int = 200_000) -> MedianResult:
 
     This convention reproduces the published values (k=2 -> 37, k=3 -> 42719);
     see the distribution's tie at p=2 for k=1, which yields 3.
+
+    The lambda_k column comes whole up to pmax (`_lambda_column`), and a
+    binary search finds the first cumulative sum within 1e-9 of 1/2.
     """
     import numpy as np
 
@@ -217,27 +199,19 @@ def median_prime_detail(k: int, pmax: int = 200_000) -> MedianResult:
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
     ps = primes_upto(pmax)
-    cum = 0.0
+    cums = np.add.accumulate(np.concatenate(([0.0], _lambda_column(k, ps)[0])))
+    # cums[i], the mass of the primes before ps[i], is nondecreasing; only a
+    # cumulative sum this close to 1/2 can be a tie or a crossing
     tie_at = None
-    for lo, prods, E, _ in _sweep_columns(ps, min(k, len(ps) + 1)):
-        if k > len(E):  # lambda_k is 0 at every prime so far
+    for i in range(int(np.searchsorted(cums, 0.5 - 1e-9)), len(cums)):
+        p, cum = int(ps[i - 1]), float(cums[i])
+        if abs(cum - 0.5) < 1e-9 and p <= 1000 and _exact_cum_is_half(k, p):
+            tie_at = p
             continue
-        q = ps[lo:lo + len(prods) - 1]
-        cums = np.empty(len(prods))
-        cums[0] = cum
-        cums[1:] = E[k - 1, :-1] * prods[:-1] / q
-        np.add.accumulate(cums, out=cums)
-        # only a cumulative sum this close to 1/2 can be a tie or a crossing
-        for i in np.flatnonzero(cums[1:] >= 0.5 - 1e-9).tolist():
-            p, cum = int(q[i]), float(cums[i + 1])
-            if abs(cum - 0.5) < 1e-9 and p <= 1000 and _exact_cum_is_half(k, p):
-                tie_at = p
-                continue
-            if cum > 0.5:
-                return MedianResult(p, float(cums[i]), cum, tie_at)
-        cum = float(cums[-1])
+        if cum > 0.5:
+            return MedianResult(p, float(cums[i - 1]), cum, tie_at)
     raise ResourceError(
-        f"cumulative lambda_{k} mass reaches only {cum:.6f} by p = {pmax}; "
+        f"cumulative lambda_{k} mass reaches only {cums[-1]:.6f} by p = {pmax}; "
         f"the median prime grows doubly exponentially in k"
     )
 
@@ -269,7 +243,9 @@ def gaussian_cdf(z: float) -> float:
 
 def phi0_correction(z: float, A: float | None = None) -> float:
     """Second-order correction term exp(-z^2/2) * (1/3 + A - z^2/3) to the
-    Gaussian law of the k-th prime factor."""
+    Gaussian law of the k-th prime factor.  Without A it sums Mertens' A
+    afresh (`experiments.mertens_A`, a few ms), so a caller in a loop passes
+    A = mertens_A().point once."""
     if A is None:
         from .experiments import mertens_A
 
@@ -307,10 +283,13 @@ def unimodal_check(p: int) -> bool:
 # ---------------------------------------------------------------------------
 # local law of the k-th divisor
 
-def _exact_gens(d: int, method: str | None) -> list[int] | None:
+def _exact_gens(k: int, d: int, method: str | None) -> list[int] | None:
     """The q_m = m / gcd(m, d) of the m < d not dividing d when Lambda_kd at d
     is exact, None when it is Monte Carlo: exact by default while their lcm
-    DP fits its cap.  Past it "exact" raises ResourceError, as does d > 10000."""
+    DP fits its cap.  Past it "exact" raises ResourceError, as does d > 10000;
+    k < 1 or d < 1 raises DomainError first."""
+    if k < 1 or d < 1:
+        raise DomainError(f"need k >= 1 and d >= 1, got k={k}, d={d}")
     if method not in (None, "exact", "mc"):
         raise DomainError(f"unknown Lambda method {method!r}")
     if d > 10_000:
@@ -348,9 +327,7 @@ def Lambda_kd(
     multiples.MAX_LCM_VISITS, so for d <= 30 and d = 32; past it the default
     is Monte Carlo with a Wilson 95% bracket.  Positivity: tau(d) <= k <= d.
     """
-    if k < 1 or d < 1:
-        raise DomainError(f"need k >= 1 and d >= 1, got k={k}, d={d}")
-    gens = _exact_gens(d, method)
+    gens = _exact_gens(k, d, method)
     if gens is not None:
         i = k - (d - len(gens))  # k - tau(d): the m <= d left out of gens divide d
         p = 0
@@ -400,13 +377,10 @@ def k_scales(k: int, jmax: int) -> KScales:
     if k < 2:
         raise DomainError(f"need k >= 2 for iterated logs, got {k}")
     vals = []
-    it = float(k)
     # log_{j+2}(k): iterate ln (j+2) times
-    it = math.log(math.log(it))
+    it = math.log(math.log(k))
     for j in range(jmax + 1):
         if j > 0:
-            if it <= 0:
-                raise DomainError(f"iterated log non-positive at depth {j + 2} for k={k}")
             it = math.log(it)
         if it <= 0:
             raise DomainError(f"iterated log non-positive at depth {j + 2} for k={k}")

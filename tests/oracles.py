@@ -1,14 +1,14 @@
 """Naive, independent reimplementations used as test oracles.
 
-Nothing here imports from divilab: trial division, nested-loop window scans
-decided in integers against convergents of e, the per-n list scans of Delta
-and ||d theta|| that the flat divisor-pair kernel replaced, trial marking of
-multiples, midpoint quadrature, the per-prime strided numpy sieves that the
-SPF recurrence replaced, the per-cell tau^+ builder that the divisor bitmask
-replaced, the unsegmented SPF sieve, the subset-walk Bonferroni bracket, the
-per-prime local-law e_j sweep that the column-wise DP replaced, and the
-truncated friable sum with its Rankin tail that m(y) came from.  Slow on
-purpose.
+Nothing here imports from divilab: trial division, the divisor-Moebius
+pairs, nested-loop window scans decided in integers against convergents of
+e, the per-n list scans of Delta and ||d theta|| that the flat divisor-pair
+kernel replaced, trial marking of multiples, midpoint quadrature, the
+per-prime strided numpy sieves that the SPF recurrence replaced, the
+per-cell tau^+ builder that the divisor bitmask replaced, the unsegmented
+SPF sieve, the subset-walk Bonferroni bracket, the per-prime local-law e_j
+sweep that the column-wise DP replaced, and the truncated friable sum with
+its Rankin tail that m(y) came from.  Slow on purpose.
 """
 
 import math
@@ -94,6 +94,21 @@ def naive_delta(n):
         cnt = sum(1 for e in divs if d <= e and below_e(d, e))
         best = max(best, cnt)
     return best
+
+
+def divisor_mobius(factors):
+    """(divisor, mu(divisor)) pairs sorted by divisor, from the (p, e)
+    pairs of n's factorisation."""
+    pairs = [(1, 1)]
+    for p, e in factors:
+        block = list(pairs)
+        pe = 1
+        for j in range(1, e + 1):
+            pe *= p
+            mu_fac = -1 if j == 1 else 0
+            pairs.extend((d * pe, m * mu_fac) for d, m in block)
+    pairs.sort()
+    return pairs
 
 
 def divisor_lists(lo, hi):

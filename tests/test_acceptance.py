@@ -50,7 +50,7 @@ from divilab import (
     tau_plus,
 )
 from divilab.cli import dispatch
-from divilab.locallaws import _unimodal, lambda_sweep
+from divilab.locallaws import _unimodal
 from divilab.tables import tau_table, tauplus_table
 
 from oracles import (
@@ -65,6 +65,7 @@ from oracles import (
     naive_tau_plus,
     riemann_integral,
 )
+from test_locallaws import sweep_rows
 
 DELTA_FORD = 0.0860713320559342
 
@@ -101,7 +102,7 @@ def test_criterion_02_row_identity():
 
 def test_criterion_03_column_identity():
     worst = 0.0
-    for p, prod, e, seen in lambda_sweep(10**4):
+    for p, prod, e, seen in sweep_rows(10**4):
         total = float(e[: seen + 1].sum()) * prod / p
         worst = max(worst, abs(total - 1.0 / p))
     _report("3", worst < 1e-12, f"worst gap {worst:.2e}")
@@ -111,7 +112,7 @@ def test_criterion_03_column_identity():
 
 def test_criterion_04_unimodality():
     bad = []
-    for p, _, e, seen in lambda_sweep(10**4):
+    for p, _, e, seen in sweep_rows(10**4):
         if not _unimodal(e[: seen + 1]):
             bad.append(p)
     _report("4", not bad, f"violations: {bad[:5] if bad else 'none'}")

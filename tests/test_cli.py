@@ -452,6 +452,9 @@ def test_bad_counts_exit_codes(tmp_path, capsys):
         (("lambdad", "--k", "5", "--d", "31", "--method", "mc"), 64),
         (("lambdad", "--k", "5", "--d", "40"), 64),
         (("lambdad", "--k", "5", "--d", "37", "--method", "exact"), 3),
+        # a bad k or d is a domain error, even where the seed rule would apply
+        (("lambdad", "--k", "0", "--d", "40"), 2),
+        (("lambdad", "--k", "1", "--d", "0", "--method", "mc"), 2),
     ]
     for argv, want in table:
         code = dispatch(list(argv))

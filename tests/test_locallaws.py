@@ -25,10 +25,9 @@ from divilab import multiples as multiples_mod
 from divilab.locallaws import (
     LocalLawRow,
     MedianResult,
+    _columns,
     _exact_cum_is_half,
-    _sweep_columns,
     _unimodal,
-    lambda_sweep,
 )
 from divilab.sieve import primes_upto
 
@@ -173,7 +172,7 @@ def test_unimodal_small():
 
 def test_column_sum_prefix():
     # sum_k lambda_k(p) telescopes to 1/p; spot a prefix of the acceptance sweep
-    for p, prod, e, seen in lambda_sweep(500):
+    for p, prod, e, seen in sweep_rows(500):
         total = float(e[: seen + 1].sum()) * prod / p
         assert total == pytest.approx(1.0 / p, abs=1e-13)
 
@@ -267,7 +266,7 @@ def test_Lambda_route_floor_skips_coprime_base(monkeypatch):
         raise AssertionError("the visit bound ran")
 
     monkeypatch.setattr(multiples_mod, "_bonferroni_visits", no_base)
-    assert locallaws._exact_gens(10_000, None) is None
+    assert locallaws._exact_gens(5, 10_000, None) is None
 
 
 def test_Lambda_monte_carlo_brackets_exact_past_d20():
@@ -327,6 +326,22 @@ def test_row_mass_approaches_one():
 
 # -- the column-wise e_j DP against the per-prime oracle, bit for bit --------
 
+def stacked_rows(ps, size):
+    """The rows (p, prod, e, seen) of the e_j DP over ps, read from the whole
+    columns of _columns(ps, size) stacked into one array: e[j] is column j at
+    p, zero past the last column _columns yields."""
+    prods, columns = _columns(ps, size)
+    E = np.array([col.copy() for col in columns])
+    for r, p in enumerate(ps):
+        yield int(p), float(prods[r]), np.pad(E[:, r], (0, size - len(E))), r
+
+
+def sweep_rows(pmax, kmax=None):
+    """stacked_rows over the primes p <= pmax, e truncated at kmax."""
+    ps = primes_upto(pmax)
+    return stacked_rows(ps, (len(ps) if kmax is None else min(kmax, len(ps))) + 1)
+
+
 def _assert_rows_equal(got, want):
     """Row-for-row equality of two sweeps: prime, seen, prod to the bit and
     e by np.array_equal; returns the number of rows."""
@@ -346,30 +361,16 @@ def _assert_rows_equal(got, want):
     (2000, 0), (2000, 1), (2000, 3), (2000, 9), (60013, 3),
 ])
 def test_lambda_sweep_matches_row_oracle(pmax, kmax):
-    rows = _assert_rows_equal(lambda_sweep(pmax, kmax), row_lambda_sweep(pmax, kmax))
+    rows = _assert_rows_equal(sweep_rows(pmax, kmax), row_lambda_sweep(pmax, kmax))
     assert rows == len(primes_upto(pmax))
 
 
-@pytest.mark.parametrize("block", [1, 7, 64])
-def test_lambda_sweep_across_small_blocks(monkeypatch, block):
-    monkeypatch.setattr(locallaws, "_BLOCK", block)
-    for pmax, kmax in ((10**4, None), (2000, 3), (3, None)):
-        _assert_rows_equal(lambda_sweep(pmax, kmax), row_lambda_sweep(pmax, kmax))
-
-
-@pytest.mark.parametrize("block", [64, 4096])
-def test_sweep_columns_grow_past_the_first_buffer(monkeypatch, block):
+def test_columns_stay_nonzero_to_the_last():
     # with 1/(q-1) = 1/2 no e_j underflows, so all 301 columns stay nonzero
-    # and the 256-row column buffer has to grow, within a block or between
-    monkeypatch.setattr(locallaws, "_BLOCK", block)
     ps = np.full(300, 3.0)
-    want = row_sweep(ps.tolist())
-    got = []
-    for lo, prods, E, _ in _sweep_columns(ps, 301):
-        for r in range(len(prods) - 1):
-            got.append((int(ps[lo + r]), float(prods[r]), np.pad(E[:, r], (0, 301 - len(E))), lo + r))
-    assert len(E) == 301
-    assert _assert_rows_equal(got, ((int(p), prod, e, s) for p, prod, e, s in want)) == 300
+    assert sum(1 for _ in _columns(ps, 301)[1]) == 301
+    want = ((int(p), prod, e, s) for p, prod, e, s in row_sweep(ps.tolist()))
+    assert _assert_rows_equal(stacked_rows(ps, 301), want) == 300
 
 
 def _oracle_state(p, kmax=None):
@@ -416,25 +417,18 @@ def _median_bits(m):
     return (m.p_star, m.cum_before.hex(), m.cum_at.hex(), m.tie_at)
 
 
-@pytest.mark.parametrize("block", [None, 5])
-def test_lambda_row_matches_row_oracle(monkeypatch, block):
-    if block:
-        monkeypatch.setattr(locallaws, "_BLOCK", block)
+def test_lambda_row_matches_row_oracle():
     for k in (1, 2, 3, 4, 200, 10**12):
         for P in (2, 3, 10, 1000, 7919, 7920):
             assert _row_bits(lambda_row(k, P)) == _row_bits(_oracle_lambda_row(k, P)), (k, P)
 
 
 def test_lambda_row_longer_than_a_block():
-    assert len(primes_upto(30011)) > locallaws._BLOCK
     for k in (1, 3):
         assert _row_bits(lambda_row(k, 30011)) == _row_bits(_oracle_lambda_row(k, 30011))
 
 
-@pytest.mark.parametrize("block", [None, 5])
-def test_median_matches_row_oracle(monkeypatch, block):
-    if block:
-        monkeypatch.setattr(locallaws, "_BLOCK", block)
+def test_median_matches_row_oracle():
     for k in (1, 2, 3):
         assert _median_bits(median_prime_detail(k)) == _median_bits(_oracle_median(k))
     assert _oracle_median(4, 10**5) is None
@@ -464,7 +458,6 @@ def test_point_queries_match_row_oracle():
 def test_point_queries_longer_than_a_block():
     for p in (30011, 60013):
         prod, e, seen = _oracle_state(p)
-        assert seen > locallaws._BLOCK
         j = int(np.argmax(e[:seen + 1]))
         k_star, lam = lambda_mode(p)
         assert (k_star, lam.hex()) == (j + 1, float(e[j] * prod / p).hex())

@@ -4,7 +4,9 @@ The engine's density of M(A) must equal sum_k (-1)^(k-1) S_k exactly, and
 its exactly-one density sum_k (-1)^(k-1) k S_k, where S_k sums 1/lcm over
 the k-element subsets of A.  Under small state budgets, its brackets must
 contain the exact values, and so must the float ends of the Bonferroni
-brackets and of the remainders R_n(x).
+brackets and of the remainders R_n(x).  One test puts every function that
+returns a rigorous estimate, Lambda_kd's exact route among them, against
+these oracles.
 """
 
 import math
@@ -16,12 +18,26 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from divilab import GeneratorSet, ResourceError, density_bracket, remainder_Rn
+from divilab import (
+    GeneratorSet,
+    Lambda_kd,
+    ResourceError,
+    density_bracket,
+    m_of_y,
+    remainder_Rn,
+    sequential_density,
+)
 from divilab import multiples
 from divilab.experiments import eps_pair
 from divilab.multiples import _coprime_base, _valuation_density, divisor_hit_densities
 
-from oracles import naive_ie_sums, trial_divisors, trial_factor, trial_multiples_mask
+from oracles import (
+    naive_ie_sums,
+    naive_lambda_kd,
+    trial_divisors,
+    trial_factor,
+    trial_multiples_mask,
+)
 
 PERIOD = 720720
 
@@ -265,3 +281,64 @@ def test_enclosure_contains_exact_past_24_generators(monkeypatch, full_budget, b
     for n in EPS_WIDE:
         e, e1, _ = eps_pair(1000, 1000 + n, 10**6)
         assert _encloses(e, dens[n]) and _encloses(e1, ones[n])
+
+
+# ---------------------------------------------------------------------------
+# one containment check over every function that returns a rigorous estimate
+
+def _period_density(gens):
+    """d M(gens) for divisors gens of PERIOD, counted over one period."""
+    return Fraction(int(np.count_nonzero(trial_multiples_mask(gens, PERIOD)[1:])), PERIOD)
+
+
+def _holds(est, truth):
+    """Fraction(lower) <= truth <= Fraction(upper).  An exact estimate
+    carries its Fraction in `exact` and the nearest float in lower == upper,
+    so there the Fraction must be truth."""
+    if est.exact is not None:
+        return est.exact == truth and est.lower == est.upper == float(truth)
+    return Fraction(est.lower) <= truth <= Fraction(est.upper)
+
+
+def test_every_rigorous_estimate_holds_the_truth(monkeypatch):
+    sets = _antichain_sets()
+    dens = [_period_density(gens) for gens in sets]
+    for gens, d in zip(sets, dens):
+        A = GeneratorSet(gens)
+        assert _holds(density_bracket(A, method="exact_ie"), d), gens
+        for depth in range(4):
+            assert _holds(density_bracket(A, method="bonferroni", depth=depth), d), (gens, depth)
+        grid = sorted(gens)
+        for i, est in enumerate(sequential_density(A, grid)):
+            assert _holds(est, _alternating(naive_ie_sums(grid[:i + 1]))), (gens, i)
+        for y in (3, 5, 7, 13):
+            friable = [a for a in gens if max(p for p, _ in trial_factor(a)) <= y]
+            assert _holds(m_of_y(A, y), _alternating(naive_ie_sums(friable))), (gens, y)
+    for d in range(1, 13):
+        for k in range(1, d + 2):
+            assert _holds(Lambda_kd(k, d), naive_lambda_kd(k, d)), (k, d)
+
+    sums = naive_ie_sums(range(1001, 1013))
+    hit, one = _alternating(sums), _alternating(sums, weight=lambda k: k)
+    x = 10**5
+    rem = {}
+    for n in (6, 12):
+        A = GeneratorSet(interval=(n - 1, 2 * n))
+        cnt = int(np.count_nonzero(trial_multiples_mask(A.elements, x)))
+        rem[n] = cnt - _alternating(naive_ie_sums(A.reduce().elements)) * x
+    # the full budget, then one so small that auto, eps_pair and remainder_Rn
+    # return the enclosure's brackets
+    methods = set()
+    for budget in (multiples.MAX_DP_STATES, 3):
+        monkeypatch.setattr(multiples, "MAX_DP_STATES", budget)
+        for gens, d in zip(sets, dens):
+            est = density_bracket(GeneratorSet(gens))
+            assert _holds(est, d), (gens, budget)
+            methods.add(est.method)
+        e, e1, _ = eps_pair(1000, 1012, 10**6)
+        assert _holds(e, hit) and _holds(e1, one), budget
+        methods |= {e.method, e1.method}
+        for n, r in rem.items():
+            _, r_lo, r_hi = remainder_Rn(n, x)
+            assert Fraction(r_lo) <= r <= Fraction(r_hi), (n, budget)
+    assert methods == {"exact_ie", "valuation_bracket"}
