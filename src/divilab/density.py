@@ -6,15 +6,17 @@ no bare number ever escapes to the CLI untagged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError
 
 # Method tags in use.  "exact_ie" is the exact density of a finite set of
-# multiples from the valuation DP (multiples.py), lower == upper always, and
-# "valuation_bracket" that DP's rigorous bracket past its state budget.
-# "exact_period" is Lambda_k(d) (locallaws.py), exact from the subset-lcm DP.
+# multiples from the valuation DP (multiples.py), "valuation_bracket" its
+# bracket past the state budget, "exact_period" Lambda_k(d) (locallaws.py),
+# "sieve_count" the exact share of multiples up to x, and "logarithmic" a
+# float sum whose ends bound its own rounding.
 METHODS = (
     "exact_ie",
     "valuation_bracket",
@@ -25,8 +27,6 @@ METHODS = (
     "sequential",
     "monte_carlo",
 )
-
-_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -41,14 +41,10 @@ class DensityEstimate:
     def __post_init__(self):
         if self.method not in METHODS:
             raise DomainError(f"unknown density method tag {self.method!r}")
-        if not (-_SLACK <= self.lower <= self.point + _SLACK
-                and self.point <= self.upper + _SLACK
-                and self.upper <= 1 + _SLACK):
-            raise DomainError(
-                f"bad bracket lower={self.lower} point={self.point} upper={self.upper}"
-            )
-        if self.method == "exact_ie" and self.lower != self.upper:
-            raise DomainError("exact_ie requires lower == upper")
+        if not (0 <= self.lower <= self.point <= self.upper <= 1
+                and (self.exact is None or self.lower <= self.exact <= self.upper)):
+            raise DomainError(f"bad bracket lower={self.lower} point={self.point} "
+                              f"upper={self.upper} exact={self.exact}")
 
     @property
     def width(self) -> float:
@@ -66,6 +62,18 @@ class DensityEstimate:
         return rec
 
 
-def exact_density(value: Fraction, method: str = "exact_ie", **params) -> DensityEstimate:
-    v = float(value)
-    return DensityEstimate(v, v, v, method, params=params, exact=value)
+def outward(lo: Fraction, hi: Fraction) -> tuple[float, float]:
+    """Float ends around [lo, hi]: the nearest float to each, moved one ulp
+    outward when rounding took it inside."""
+    lower, upper = float(lo), float(hi)
+    return (math.nextafter(lower, -math.inf) if lower > lo else lower,
+            math.nextafter(upper, math.inf) if upper < hi else upper)
+
+
+def bracket(lo: Fraction, hi: Fraction, method: str, **params) -> DensityEstimate:
+    """The estimate for a density proven to lie in [lo, hi]: the float
+    nearest the midpoint, the ends rounded outward, and `exact` set when
+    lo == hi."""
+    point = float(lo) if lo == hi else float((lo + hi) / 2)
+    return DensityEstimate(point, *outward(lo, hi), method, params=params,
+                           exact=lo if lo == hi else None)

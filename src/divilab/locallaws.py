@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .density import DensityEstimate, exact_density
+from .density import DensityEstimate, bracket
 from .errors import DomainError, ResourceError
 from .multiples import _bonferroni_sums, _check_lcm_work
 
@@ -335,7 +335,7 @@ def Lambda_kd(
             S = _bonferroni_sums(gens, len(gens))
             S[0] = Fraction(1)
             p = sum((-1) ** (j - i) * math.comb(j, i) * S[j] for j in range(i, len(S)))
-        return exact_density(Fraction(p, d), method="exact_period", d=d, k=k)
+        return bracket(Fraction(p, d), Fraction(p, d), "exact_period", d=d, k=k)
     if seed is None:
         raise DomainError("monte carlo Lambda_kd requires a seed")
     if samples < 1:
@@ -356,12 +356,11 @@ def Lambda_kd(
     denom = 1.0 + z * z / samples
     center = (phat + z * z / (2 * samples)) / denom
     half = z * math.sqrt(phat * (1 - phat) / samples + z * z / (4 * samples**2)) / denom
-    lo = max(0.0, center - half)
-    hi = min(1.0, center + half)
-    return DensityEstimate(
-        phat, lo, hi, "monte_carlo",
-        params={"samples": samples, "seed": seed, "d": d, "k": k},
-    )
+    # at 0 or all hits center -/+ half cancels to a residue past phat in floats
+    lo = min(max(0.0, center - half), phat) if hits else 0.0
+    hi = max(min(1.0, center + half), phat) if hits < samples else 1.0
+    return DensityEstimate(phat, lo, hi, "monte_carlo",
+                           params={"samples": samples, "seed": seed, "d": d, "k": k})
 
 
 @dataclass(frozen=True)

@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .arith import INFINITE, Factored, divisors
-from .density import DensityEstimate, exact_density
+from .density import DensityEstimate, bracket, outward
 from .errors import DEFAULT_SCAN_CAP, ConstraintError, DomainError, ResourceError
 
 MAX_DP_STATES = 10**6
@@ -246,20 +246,10 @@ def _valuation_density(gens: Iterable[int]) -> Fraction:
     return lo
 
 
-def _outward(lo: Fraction, hi: Fraction) -> tuple[float, float]:
-    """Float ends around [lo, hi]: the nearest float to each, moved one ulp
-    outward when rounding took it inside."""
-    lower, upper = float(lo), float(hi)
-    return (math.nextafter(lower, -math.inf) if lower > lo else lower,
-            math.nextafter(upper, math.inf) if upper < hi else upper)
-
-
 def _bracket_estimate(lo: Fraction, hi: Fraction) -> DensityEstimate:
-    """exact_ie when lo == hi, else a valuation_bracket [lo, hi] whose float
-    ends are rounded outward."""
-    if lo == hi:
-        return exact_density(lo)
-    return DensityEstimate(float((lo + hi) / 2), *_outward(lo, hi), "valuation_bracket")
+    """The valuation DP's result [lo, hi]: exact_ie when lo == hi, else a
+    valuation_bracket."""
+    return bracket(lo, hi, "exact_ie" if lo == hi else "valuation_bracket")
 
 
 def divisor_hit_densities(A: GeneratorSet) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -350,11 +340,12 @@ def _check_lcm_work(gens: Sequence[int], maxsize: int) -> None:
 
 
 def density_bracket(A: GeneratorSet, method: str = "auto", depth: int = 3) -> DensityEstimate:
-    """Natural density of M(A) with a rigorous bracket.
+    """Natural density of M(A) with a rigorous bracket, built by
+    `density.bracket` (point nearest the midpoint, ends rounded outward).
 
     exact_ie: the exact density from the valuation DP (module docstring),
-    with lower == upper == point and the Fraction in `exact`.  It raises
-    ResourceError when the DP does not finish within MAX_DP_STATES states.
+    with the Fraction in `exact`.  It raises ResourceError when the DP does
+    not finish within MAX_DP_STATES states.
     bonferroni: alternating truncation of inclusion-exclusion over subset
     lcms; depth is 0-indexed, so depth d sums subset sizes 1..d+1 and an even
     depth ends on a positive term (upper bound), odd on negative (lower
@@ -364,16 +355,17 @@ def density_bracket(A: GeneratorSet, method: str = "auto", depth: int = 3) -> De
     ResourceError when that DP may pass MAX_LCM_VISITS (_check_lcm_work).
     auto: the valuation DP under its state budget: exact_ie when it
     finishes, else a valuation_bracket from the enclosures of the states
-    past the budget, its float ends rounded outward.
+    past the budget.
     """
     A = A.reduce()
     n = len(A)
     if n == 0:
-        return exact_density(Fraction(0))
+        return _bracket_estimate(Fraction(0), Fraction(0))
     if method == "auto":
         return _bracket_estimate(*_ValuationDP(A.elements).bounds(A.elements))
     if method == "exact_ie":
-        return exact_density(_valuation_density(A.elements))
+        d = _valuation_density(A.elements)
+        return _bracket_estimate(d, d)
     if method == "bonferroni":
         if depth < 0:
             raise DomainError(f"need depth >= 0, got {depth}")
@@ -390,25 +382,26 @@ def density_bracket(A: GeneratorSet, method: str = "auto", depth: int = 3) -> De
         else:
             a, b = partials[-2], partials[-1]
             lo, hi = min(a, b), max(a, b)
-        lo = max(lo, Fraction(0))  # the alternating bounds can be trivial
-        hi = min(hi, Fraction(1))
-        return DensityEstimate(float((lo + hi) / 2), *_outward(lo, hi), "bonferroni",
-                               params={"depth": depth})
+        # the alternating bounds can be trivial
+        return bracket(max(lo, Fraction(0)), min(hi, Fraction(1)), "bonferroni", depth=depth)
     raise DomainError(f"unknown density method {method!r}")
 
 
 def sieve_density(A: GeneratorSet, x: int) -> DensityEstimate:
-    """Counting estimate |M(A) ∩ [1,x]| / x with the 2/sqrt(x)-style
-    empirical band (not a rigorous bracket)."""
-    cnt = multiples_count(A, x)
-    p = cnt / x
-    band = 2.0 / math.sqrt(x)
-    return DensityEstimate(p, max(0.0, p - band), min(1.0, p + band),
-                           "sieve_count", params={"x": x})
+    """The exact share |M(A) ∩ [1, x]| / x of multiples up to x, in `exact`;
+    it tells nothing rigorous about the density itself."""
+    share = Fraction(multiples_count(A, x), x)
+    return bracket(share, share, "sieve_count", x=x)
 
 
 def log_density(A: GeneratorSet, x: int) -> DensityEstimate:
-    """(sum_{n<=x, n in M(A)} 1/n) / ln x, for x >= 2."""
+    """(sum_{n<=x, n in M(A)} 1/n) / ln x, for x >= 2, in floats, with ends
+    that bound the float's own rounding.  For N members it lies within
+    gamma_m = m u / (1 - m u) of the exact quotient, u = 2^-53, m = N + 3:
+    per term one rounding for 1/n and at most N - 1 additions in any order,
+    two for the faithful math.log (one ulp, 2u) and one for the division
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3).  The
+    quotient is at most 1, as sum_{n <= x} 1/n <= 1 + ln x and 1 is in no M(A)."""
     import numpy as np
 
     from .tables import _check_cap, multiples_mask
@@ -416,14 +409,12 @@ def log_density(A: GeneratorSet, x: int) -> DensityEstimate:
     if x < 2:
         raise DomainError(f"log density needs x >= 2, got {x}")
     _check_cap(x)
-    if len(A) == 0:
-        return DensityEstimate(0.0, 0.0, 0.0, "logarithmic", params={"x": x})
-    mask = multiples_mask(A.elements, x)
-    members = np.flatnonzero(mask)
-    val = float(np.sum(1.0 / members)) / math.log(x)
-    band = 2.0 / math.log(x)
-    return DensityEstimate(val, max(0.0, val - band), min(1.0, val + band),
-                           "logarithmic", params={"x": x})
+    members = np.flatnonzero(multiples_mask(A.elements, x))
+    point = float(np.sum(1.0 / members)) / math.log(x)
+    m = len(members) + 3
+    lo = Fraction(point) * (2**53 - m) / 2**53  # point / (1 + gamma_m)
+    hi = min(lo * 2**53 / (2**53 - 2 * m), Fraction(1))  # point / (1 - gamma_m)
+    return DensityEstimate(point, *outward(lo, hi), "logarithmic", params={"x": x})
 
 
 def sequential_density(A, T_grid: Sequence[int]) -> list[DensityEstimate]:
@@ -433,8 +424,7 @@ def sequential_density(A, T_grid: Sequence[int]) -> list[DensityEstimate]:
     out = []
     for T in T_grid:
         est = density_bracket(gens.truncated(T))
-        out.append(DensityEstimate(est.point, est.lower, est.upper, "sequential",
-                                   params={"T": T, "inner": est.method}, exact=est.exact))
+        out.append(replace(est, method="sequential", params={"T": T, "inner": est.method}))
     return out
 
 
@@ -609,7 +599,8 @@ def m_of_y(A: GeneratorSet, y: int) -> DensityEstimate:
                 m //= p
         if m == 1:
             ay.append(a)
-    return exact_density(_valuation_density(ay), y=y)
+    d = _valuation_density(ay)
+    return bracket(d, d, "exact_ie", y=y)
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +646,7 @@ def remainder_Rn(n: int, x: int) -> tuple[float, float, float]:
     cnt = multiples_count(A, x)
     gens = A.reduce().elements
     lo, hi = _ValuationDP(gens).bounds(gens)
-    return (float(cnt - (lo + hi) / 2 * x), *_outward(cnt - hi * x, cnt - lo * x))
+    return (float(cnt - (lo + hi) / 2 * x), *outward(cnt - hi * x, cnt - lo * x))
 
 
 def max_gap(n: int, X: int) -> tuple[int, int]:

@@ -247,7 +247,7 @@ def test_criterion_10_density_engine():
         exact = density_bracket(A, method="exact_ie").exact
         for depth in (0, 1, 2, 3):
             b = density_bracket(A, method="bonferroni", depth=depth)
-            if not (b.lower - 1e-12 <= float(exact) <= b.upper + 1e-12):
+            if not Fraction(b.lower) <= exact <= Fraction(b.upper):
                 ok = False
     for _ in range(200):
         A = GeneratorSet(rng.sample(range(2, 60), rng.randint(1, 8)))

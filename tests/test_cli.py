@@ -99,6 +99,22 @@ def test_multiples_exact(capsys):
     assert rec["values"]["point"] == pytest.approx(0.0286149, abs=1e-7)
 
 
+def test_multiples_sieve_and_log_ends(capsys):
+    # the exact share up to x: its ends are one ulp from the point at most,
+    # which the CLI's 12 digits do not show
+    code, out = run(capsys, "multiples", "--interval", "4:8", "--density", "sieve:1000000")
+    assert code == 0
+    values = json.loads(out)["values"]
+    assert values["lower"] == values["point"] == values["upper"] == 0.485714
+    assert values["method"] == "sieve_count"
+    code, out = run(capsys, "multiples", "--interval", "4:8", "--density", "log:100000")
+    assert code == 0
+    values = json.loads(out)["values"]
+    assert values["lower"] <= values["point"] <= values["upper"]
+    assert values["upper"] - values["lower"] < 1e-9
+    assert values["method"] == "logarithmic"
+
+
 def test_multiples_bonferroni(capsys):
     code, out = run(capsys, "multiples", "--gens", "2,3", "--density", "bonferroni:1")
     rec = json.loads(out)

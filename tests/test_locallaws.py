@@ -287,6 +287,19 @@ def test_Lambda_monte_carlo_brackets_exact():
         Lambda_kd(2, 30, method="mc")  # seed required
 
 
+def test_Lambda_mc_bracket_holds_its_point():
+    # the Wilson ends cancel to residues past phat at zero and at all hits
+    for d in range(33, 60):
+        for k in (2, 3, 5, 8, 12):
+            for samples in (1, 10, 100, 1000):
+                est = Lambda_kd(k, d, method="mc", samples=samples, seed=1)
+                assert est.lower <= est.point <= est.upper, (k, d, samples)
+                if est.point == 0:
+                    assert est.lower == 0, (k, d, samples)
+                if est.point == 1:
+                    assert est.upper == 1, (k, d, samples)
+
+
 def test_Lambda_mc_needs_samples():
     for samples in (0, -5):
         with pytest.raises(DomainError):

@@ -95,8 +95,17 @@ def test_density_exact_examples():
     assert density_bracket(GeneratorSet(interval=(2, 4))).exact == Fraction(1, 2)
     est = density_bracket(GeneratorSet(interval=(4, 8)))
     assert est.exact == Fraction(17, 35)
-    assert est.lower == est.upper == est.point
+    _assert_pinned(est)
     assert density_bracket(GeneratorSet()).exact == 0
+
+
+def _assert_pinned(est):
+    """An exact estimate: the nearest float as point, and float ends that
+    hold the Fraction, each at most one ulp from the point."""
+    assert est.point == float(est.exact)
+    assert Fraction(est.lower) <= est.exact <= Fraction(est.upper)
+    assert math.nextafter(est.point, -math.inf) <= est.lower
+    assert est.upper <= math.nextafter(est.point, math.inf)
 
 
 def test_density_bonferroni_brackets_exact():
@@ -107,7 +116,7 @@ def test_density_bonferroni_brackets_exact():
         exact = density_bracket(A, method="exact_ie").exact
         for depth in (0, 1, 2):
             est = density_bracket(A, method="bonferroni", depth=depth)
-            assert est.lower - 1e-12 <= float(exact) <= est.upper + 1e-12
+            assert Fraction(est.lower) <= exact <= Fraction(est.upper)
 
 
 def test_bonferroni_guardrails(monkeypatch):
@@ -367,7 +376,7 @@ M_OF_Y_GRID = [
 def test_m_of_y_within_friable_sum(gens, y):
     est = m_of_y(GeneratorSet(gens), y)
     assert est.method == "exact_ie" and isinstance(est.exact, Fraction)
-    assert est.lower == est.point == est.upper == float(est.exact)
+    _assert_pinned(est)
     assert est.params == {"y": y}
     point, upper = friable_m_bracket(list(gens), y, 10**6)
     assert point <= est.exact <= upper

@@ -6,9 +6,11 @@ the k-element subsets of A.  Under small state budgets, its brackets must
 contain the exact values, and so must the float ends of the Bonferroni
 brackets and of the remainders R_n(x).  One test puts every function that
 returns a rigorous estimate, Lambda_kd's exact route among them, against
-these oracles.
+these oracles, and so do the exact share of multiples up to x, the float
+log density's rounding bracket and a Monte Carlo run with no hits.
 """
 
+import decimal
 import math
 import random
 import time
@@ -23,13 +25,19 @@ from divilab import (
     Lambda_kd,
     ResourceError,
     density_bracket,
+    log_density,
     m_of_y,
     remainder_Rn,
     sequential_density,
 )
 from divilab import multiples
 from divilab.experiments import eps_pair
-from divilab.multiples import _coprime_base, _valuation_density, divisor_hit_densities
+from divilab.multiples import (
+    _coprime_base,
+    _valuation_density,
+    divisor_hit_densities,
+    sieve_density,
+)
 
 from oracles import (
     naive_ie_sums,
@@ -52,7 +60,10 @@ def _check(gens):
     assert _valuation_density(gens) == want
     est = density_bracket(GeneratorSet(gens), method="exact_ie")
     assert est.method == "exact_ie" and est.exact == want
-    assert est.lower == est.point == est.upper
+    # the nearest float as point, and float ends at most one ulp from it
+    assert est.point == float(want) and _holds(est, want)
+    assert math.nextafter(est.point, -math.inf) <= est.lower
+    assert est.upper <= math.nextafter(est.point, math.inf)
     return sums
 
 
@@ -221,10 +232,7 @@ EPS_WIDE = range(25, 33)
 
 
 def _encloses(est, exact):
-    if est.method == "exact_ie":
-        return est.exact == exact
-    return (est.method == "valuation_bracket" and est.lower <= est.upper
-            and Fraction(est.lower) <= exact <= Fraction(est.upper))
+    return est.method in ("exact_ie", "valuation_bracket") and _holds(est, exact)
 
 
 @pytest.fixture(scope="module")
@@ -292,12 +300,24 @@ def _period_density(gens):
 
 
 def _holds(est, truth):
-    """Fraction(lower) <= truth <= Fraction(upper).  An exact estimate
-    carries its Fraction in `exact` and the nearest float in lower == upper,
-    so there the Fraction must be truth."""
-    if est.exact is not None:
-        return est.exact == truth and est.lower == est.upper == float(truth)
-    return Fraction(est.lower) <= truth <= Fraction(est.upper)
+    """Fraction(lower) <= truth <= Fraction(upper), and exact == truth where
+    the estimate sets `exact`."""
+    return (Fraction(est.lower) <= truth <= Fraction(est.upper)
+            and (est.exact is None or est.exact == truth))
+
+
+def _log_quotients(gens, x):
+    """(sum_{n <= x, n in M(gens)} 1/n) / ln x between two Fractions: the sum
+    exact, ln x from a 40-digit decimal, correctly rounded, so within a
+    relative 10^-39 of the truth."""
+    members = np.flatnonzero(trial_multiples_mask(gens, x)).tolist()
+    lcm = math.lcm(*members)
+    total = Fraction(sum(lcm // n for n in members), lcm)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        ln = Fraction(decimal.Decimal(x).ln())
+    slack = Fraction(1, 10**39)
+    return total / (ln * (1 + slack)), total / (ln * (1 - slack))
 
 
 def test_every_rigorous_estimate_holds_the_truth(monkeypatch):
@@ -317,6 +337,18 @@ def test_every_rigorous_estimate_holds_the_truth(monkeypatch):
     for d in range(1, 13):
         for k in range(1, d + 2):
             assert _holds(Lambda_kd(k, d), naive_lambda_kd(k, d)), (k, d)
+    for k, d in ((5, 30), (2, 40), (1, 41)):  # zero hits: Lambda_k(d) = 0
+        est = Lambda_kd(k, d, method="mc", samples=100, seed=1)
+        assert est.lower == est.point == 0 and _holds(est, 0), (k, d)
+
+    # the exact share of multiples up to x, and the float log density
+    for gens in sets[:6] + _interval_sets()[:6]:
+        for x in (2, 97, 1000, 10**4):
+            share = Fraction(int(np.count_nonzero(trial_multiples_mask(gens, x)[1:])), x)
+            assert _holds(sieve_density(GeneratorSet(gens), x), share), (gens, x)
+            est = log_density(GeneratorSet(gens), x)
+            lo, hi = _log_quotients(gens, x)
+            assert Fraction(est.lower) <= lo and hi <= Fraction(est.upper), (gens, x)
 
     sums = naive_ie_sums(range(1001, 1013))
     hit, one = _alternating(sums), _alternating(sums, weight=lambda k: k)

@@ -11,8 +11,14 @@ reads each run's result from its last line of output.  The run length T,
 the end-to-end metrics and the side of each that is better come from the
 change's BENCHMARK.json.  One call writes the whole file: both checkouts'
 git shas (a checkout with uncommitted changes is marked dirty) and, per
-workload and end-to-end metric, each side's runs, median and quartiles and
-the number of pairs the change won and lost; a tie counts for neither side.
+workload and end-to-end metric, each side's runs, median and quartiles,
+the number of pairs the change won and lost (a tie counts for neither side)
+and two flags that preview a verdict against the metric's bound b, a share
+of the parent's median m:
+
+- `regressed`: the change's median is worse than m by more than b * m;
+- `unresolved`: the parent's quartile distance exceeds b * m, and not every
+  change run beats every parent run.
 """
 
 from __future__ import annotations
@@ -37,11 +43,11 @@ def checkout_id(path: Path) -> dict:
     return {"sha": git("rev-parse", "HEAD"), "dirty": git("status", "--porcelain") != ""}
 
 
-def bench_spec(checkout: Path) -> tuple[float, dict[str, str]]:
-    """(run seconds, end-to-end metric name -> "lower" or "higher"), from
-    BENCHMARK.json."""
+def bench_spec(checkout: Path) -> tuple[float, dict[str, dict]]:
+    """(run seconds, end-to-end metric name -> its BENCHMARK.json entry, which
+    holds "better" ("lower" or "higher") and "bound")."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
-    return spec["run_seconds"], {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return spec["run_seconds"], {m["name"]: m for m in spec["end_to_end"]}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> str:
@@ -59,9 +65,10 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def summarize(parent_lines: list[str], change_lines: list[str], better: dict[str, str]) -> dict:
+def summarize(parent_lines: list[str], change_lines: list[str], metrics: dict[str, dict]) -> dict:
     """Per-workload record from the result lines of paired runs: line i of
-    each list comes from pair i."""
+    each list comes from pair i.  `metrics` maps each end-to-end metric to
+    its "better" side and its "bound"."""
     if len(parent_lines) != len(change_lines) or not parent_lines:
         raise ValueError("need the same positive number of parent and change runs")
     parent = [json.loads(line) for line in parent_lines]
@@ -71,20 +78,25 @@ def summarize(parent_lines: list[str], change_lines: list[str], better: dict[str
         record[side] = {"correct": all(r["correct"] for r in runs),
                         "attempted": sum(r["attempted"] for r in runs),
                         "failed": sum(r["failed"] for r in runs)}
-    metrics = {}
-    for name, way in better.items():
+    record["metrics"] = {}
+    for name, spec in metrics.items():
         p = [r["metrics"][name]["value"] for r in parent]
         c = [r["metrics"][name]["value"] for r in change]
-        sign = 1 if way == "higher" else -1
-        metrics[name] = {
+        sign = 1 if spec["better"] == "higher" else -1
+        ps, cs = spread(p), spread(c)
+        allowed = spec["bound"] * abs(ps["median"])
+        every_run_wins = min(sign * v for v in c) > max(sign * v for v in p)
+        record["metrics"][name] = {
             "unit": parent[0]["metrics"][name]["unit"],
-            "better": way,
-            "parent": spread(p),
-            "change": spread(c),
+            "better": spec["better"],
+            "bound": spec["bound"],
+            "parent": ps,
+            "change": cs,
             "pairs_won": sum(sign * (b - a) > 0 for a, b in zip(p, c)),
             "pairs_lost": sum(sign * (b - a) < 0 for a, b in zip(p, c)),
+            "regressed": sign * (ps["median"] - cs["median"]) > allowed,
+            "unresolved": ps["q3"] - ps["q1"] > allowed and not every_run_wins,
         }
-    record["metrics"] = metrics
     return record
 
 
@@ -106,7 +118,7 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
 
     parent, change = args.parent.resolve(), args.change.resolve()
-    seconds, better = bench_spec(change)
+    seconds, metrics = bench_spec(change)
     records = {}
     for workload in args.workload:
         lines = {parent: [], change: []}
@@ -115,7 +127,7 @@ def main(argv=None) -> int:
             for checkout in order:
                 lines[checkout].append(run_once(checkout, workload, args.seed + i, seconds))
             print(f"{workload} pair {i + 1}/{PAIRS}", file=sys.stderr)
-        records[workload] = summarize(lines[parent], lines[change], better)
+        records[workload] = summarize(lines[parent], lines[change], metrics)
         records[workload]["seeds"] = [args.seed, args.seed + PAIRS - 1]
     settings = {"seconds": seconds, "python": platform.python_version(),
                 "machine": platform.machine(), "cpus": os.cpu_count()}
