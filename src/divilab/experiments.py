@@ -24,15 +24,15 @@ from .sieve import primes_upto
 from .tables import (
     _PAIR_WINDOW,
     _check_cap,
+    _count_divisors,
     _divisor_pairs,
     _prime_pi,
+    _windows,
     e_set_mask,
     gpf_table,
-    interval_multiples_hits,
+    interval_hits_count,
     multiples_mask,
     omega_table,
-    tau_table,
-    tauplus_table,
     tauplus_window,
 )
 
@@ -53,13 +53,11 @@ class BracketedValue:
 # counting with a divisor in an interval
 
 def h_count(x: int, y: int, z: int, closed_left: bool = False) -> int:
-    """Number of n <= x with a divisor in (y, z] (or [y, z] with the
-    sensitivity flag)."""
+    """H(x, y, z): the number of n <= x with a divisor in (y, z] (or [y, z]
+    with the sensitivity flag), counted window by window with no x-sized mask."""
     if not (1 <= y < z <= x):
         raise DomainError(f"need 1 <= y < z <= x, got y={y} z={z} x={x}")
-    lo = y - 1 if closed_left else y
-    hits = interval_multiples_hits(x, lo, z)
-    return int(np.count_nonzero(hits[1:]))
+    return interval_hits_count(x, y - 1 if closed_left else y, z)
 
 
 def _tauplus_sum(bounds: tuple[int, int]) -> int:
@@ -97,8 +95,7 @@ def t_sum(x: int, threads: int = 1) -> tuple[int, int]:
 
     Returns (direct, dyadic); they must agree exactly.
     """
-    if x < 1:
-        raise DomainError(f"need x >= 1, got {x}")
+    _check_cap(x)
     direct = sum(_map_chunks(_tauplus_sum, 1, x + 1, threads))
     dyadic = x  # k = -1: every n has the divisor 1 in (1/2, 1]
     k = 0
@@ -139,8 +136,6 @@ def _delta_sum_chunk(bounds: tuple[int, int]) -> int:
 
 def s_avg(x: int, cap: int = 10**7, threads: int = 1) -> float:
     """Average of the divisor-concentration function over n <= x (exact)."""
-    if x < 1:
-        raise DomainError(f"need x >= 1, got {x}")
     if x > cap:
         raise ResourceError(f"s_avg scan {x} exceeds per-n capability cap {cap}")
     _check_cap(x)
@@ -177,20 +172,19 @@ class EmpiricalDistribution:
 
 
 def nu_distribution(x: int, grid: tuple[float, ...] | None = None) -> EmpiricalDistribution:
-    """Empirical CDF of tau^+(n)/tau(n) over n <= x, with the largest
-    grid-cell masses reported as jump candidates (no assertion)."""
+    """Empirical CDF of tau^+(n)/tau(n) over n <= x, one window at a time, with
+    the largest grid-cell masses reported as jump candidates (no assertion)."""
     if grid is None:
         grid = tuple(i / 50 for i in range(1, 51))
     if list(grid) != sorted(grid):
         raise DomainError("grid must be ascending")
-    tp = tauplus_table(x)
-    tau = tau_table(x)
+    _check_cap(x)
     g = np.asarray(grid, dtype=np.float64)
     counts = np.zeros(len(g), dtype=np.int64)
-    block = 1 << 20
-    for lo in range(1, x + 1, block):  # blocks bound the float64 temporaries
-        hi = min(lo + block, x + 1)
-        ratio = np.sort(tp[lo:hi].astype(np.float64) / tau[lo:hi])
+    for a, b in _windows(1, x + 1):
+        ratio = tauplus_window(a, b).astype(np.float64)
+        ratio /= _count_divisors(np.zeros(b - a, dtype=np.uint16), a)
+        ratio.sort()
         counts += np.searchsorted(ratio, g, side="right")
     cum = counts / x
     masses = np.diff(np.concatenate(([0.0], cum)))  # mass in each cell (g_{i-1}, g_i]
@@ -251,18 +245,14 @@ def pplus_adjacency(x: int) -> PPlusStats:
     if x < 2:
         raise DomainError(f"need x >= 2, got {x}")
     gpf = gpf_table(x + 2)
-    frac_up = float(np.count_nonzero(gpf[2:x + 2] > gpf[1:x + 1])) / x
-    a = gpf[1:x + 1]
-    b = gpf[2:x + 2]
-    c = gpf[3:x + 3]
+    a, b, c = gpf[1:x + 1], gpf[2:x + 2], gpf[3:x + 3]
+    frac_up = float(np.count_nonzero(b > a)) / x
     triple = (a > b) & (b > c)
     n_triple = int(np.count_nonzero(triple))
     first = int(np.flatnonzero(triple)[0]) + 1 if n_triple else None
     bins = np.linspace(-1.0, 1.0, 41)
     counts = np.zeros(len(bins) - 1, dtype=np.int64)
-    block = 1 << 20
-    for lo in range(2, x + 1, block):  # blocks bound the float64 temporaries
-        hi = min(lo + block, x + 1)
+    for lo, hi in _windows(2, x + 1):  # windows bound the float64 temporaries
         n = np.arange(lo, hi, dtype=np.float64)
         ratio = gpf[lo + 1:hi + 1].astype(np.float64) / gpf[lo:hi].astype(np.float64)
         alpha = np.log(ratio) / np.log(n)

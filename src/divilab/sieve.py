@@ -82,15 +82,16 @@ def is_prime_u64(n: int) -> bool:
 
 
 def primes_upto(n: int) -> np.ndarray:
-    """All primes <= n as an int64 array (boolean Eratosthenes sieve)."""
+    """All primes <= n as an int64 array (odds-only boolean Eratosthenes sieve)."""
     if n < 2:
         return np.empty(0, dtype=np.int64)
-    mask = np.ones(n + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if mask[p]:
-            mask[p * p:: p] = False
-    return np.flatnonzero(mask).astype(np.int64)
+    odd = np.ones((n + 1) // 2, dtype=bool)  # odd[i] stands for 2i + 1, odd[0] for 2
+    for i in range(1, (math.isqrt(n) + 1) // 2):
+        if odd[i]:  # p = 2i + 1 strikes p^2, p^2 + 2p, ... from index 2i(i + 1)
+            odd[2 * i * (i + 1)::2 * i + 1] = False
+    primes = 2 * np.flatnonzero(odd).astype(np.int64) + 1
+    primes[0] = 2
+    return primes
 
 
 def _trim_heap() -> None:

@@ -5,7 +5,9 @@ pairs, nested-loop window scans decided in integers against convergents of
 e, the per-n list scans of Delta and ||d theta|| that the flat divisor-pair
 kernel replaced, trial marking of multiples, midpoint quadrature, the
 per-prime strided numpy sieves that the SPF recurrence replaced, the
-per-cell tau^+ builder that the divisor bitmask replaced, the unsegmented
+per-cell tau^+ builder that the divisor bitmask replaced, the whole-array
+tau table, interval mask and nu_distribution that the window walk replaced,
+the full Eratosthenes sieve that the odds-only one replaced, the unsegmented
 SPF sieve, the subset-walk Bonferroni bracket, the per-prime local-law e_j
 sweep that the column-wise DP replaced, and the truncated friable sum with
 its Rankin tail that m(y) came from.  Slow on purpose.
@@ -299,7 +301,7 @@ def friable_m_bracket(gens, y, truncation):
     at r <= truncation, and the Rankin bound on the rest,
     sum_{r > X, P+(r) <= y} 1/r <= X^{s-1} prod_{p<=y} (1 - p^-s)^-1,
     widens the upper end."""
-    ps = [int(p) for p in _primes_upto(y)]
+    ps = [int(p) for p in eratosthenes_primes(y)]
 
     def friable(a):
         for p in ps:
@@ -453,7 +455,9 @@ def naive_erdos_kac_ks(x):
 
 # -- per-prime strided sieves: one numpy slice per prime (or prime power) --
 
-def _primes_upto(n):
+def eratosthenes_primes(n):
+    """All primes <= n as int64, by a boolean sieve over every integer; the
+    odds-only `sieve.primes_upto` replaced it."""
     if n < 2:
         return np.empty(0, dtype=np.int64)
     mask = np.ones(n + 1, dtype=bool)
@@ -461,14 +465,14 @@ def _primes_upto(n):
     for p in range(2, math.isqrt(n) + 1):
         if mask[p]:
             mask[p * p::p] = False
-    return np.flatnonzero(mask)
+    return np.flatnonzero(mask).astype(np.int64)
 
 
 def sieve_omega_table(x, with_multiplicity=False):
     """omega or Omega on 0..x: +1 on every multiple of each prime p (and of
     each p^e for Omega); primes above sqrt(x) go through their cofactors."""
     om = np.zeros(x + 1, dtype=np.uint8)
-    pr = _primes_upto(x)
+    pr = eratosthenes_primes(x)
     D = max(math.isqrt(x), 2)
     for p in pr[pr <= D]:
         p = int(p)
@@ -489,7 +493,7 @@ def sieve_gpf_table(x):
     """Largest prime factor on 0..x (1 at 0 and 1): ascending primes overwrite
     their multiples, so the last write is the largest."""
     gpf = np.ones(x + 1, dtype=np.int64 if x >= 1 << 31 else np.int32)
-    pr = _primes_upto(x)
+    pr = eratosthenes_primes(x)
     D = max(math.isqrt(x), 2)
     for p in pr[pr <= D]:
         gpf[p::p] = p
@@ -504,10 +508,10 @@ def sieve_psi1_mask(x, y):
     """Mask on 0..x of the squarefree n whose prime factors are all <= y."""
     ok = np.ones(x + 1, dtype=bool)
     ok[0] = False
-    for p in _primes_upto(math.isqrt(x)):
+    for p in eratosthenes_primes(math.isqrt(x)):
         p2 = int(p) ** 2
         ok[p2::p2] = False
-    pr = _primes_upto(x)
+    pr = eratosthenes_primes(x)
     for p in pr[pr > y]:
         ok[int(p)::int(p)] = False
     return ok
@@ -527,26 +531,60 @@ def spf_table(limit):
     return spf
 
 
+def interval_multiples_hits(x, lo_d, hi_d):
+    """Boolean mask on 0..x of the integers with a divisor in (lo_d, hi_d],
+    over the whole array at once, by the hyperbola split: one strided slice
+    per divisor d <= sqrt(x), one per cofactor m of the larger ones.  The
+    windowed count of `experiments.h_count` replaced it."""
+    hit = np.zeros(x + 1, dtype=bool)
+    D = math.isqrt(x)
+    top = min(hi_d, x)
+    for d in range(lo_d + 1, min(top, D) + 1):
+        hit[d::d] = True
+    if top > D:
+        for m in range(1, x // (D + 1) + 1):
+            lo, hi = max(D, lo_d), min(top, x // m)
+            if hi > lo:
+                hit[m * (lo + 1): m * hi + 1: m] = True
+    return hit
+
+
+def hyperbola_tau_table(x):
+    """tau on 0..x over the whole array at once: +1 on the multiples of each
+    d <= sqrt(x), and on m d for d > sqrt(x) along each cofactor m.  The
+    windowed `tables.tau_table` replaced it."""
+    tau = np.zeros(x + 1, dtype=np.uint16)
+    D = math.isqrt(x)
+    for d in range(1, D + 1):
+        tau[d::d] += 1
+    for m in range(1, x // (D + 1) + 1):
+        tau[m * (D + 1): m * (x // m) + 1: m] += 1
+    return tau
+
+
 def cell_tauplus_table(x):
     """tau^+ on 0..x, one dyadic cell (lo, hi] = (0, 1], (1, 2], (2, 4], ...
-    at a time: a boolean mask of the integers with a divisor in the cell, by
-    the hyperbola split, added into the count."""
+    at a time: the mask of the integers with a divisor in the cell, added
+    into the count."""
     acc = np.zeros(x + 1, dtype=np.uint8)
-    D = math.isqrt(x)
     lo_d, hi_d = 0, 1
     while lo_d < x:
-        top = min(hi_d, x)
-        hit = np.zeros(x + 1, dtype=bool)
-        for d in range(lo_d + 1, min(top, D) + 1):
-            hit[d::d] = True
-        if top > D:
-            for m in range(1, x // (D + 1) + 1):
-                lo, hi = max(D, lo_d), min(top, x // m)
-                if hi > lo:
-                    hit[m * (lo + 1): m * hi + 1: m] = True
-        acc += hit
+        acc += interval_multiples_hits(x, lo_d, hi_d)
         lo_d, hi_d = hi_d, 2 * hi_d
     return acc
+
+
+def whole_table_nu_distribution(x, grid):
+    """(cdf, jumps) of tau^+(n)/tau(n) over n <= x at the grid points, from
+    whole tau and tau^+ tables and one sort of all x ratios: the route the
+    windowed `experiments.nu_distribution` replaced."""
+    ratio = np.sort(cell_tauplus_table(x)[1:] / hyperbola_tau_table(x)[1:])
+    g = np.asarray(grid, dtype=np.float64)
+    cum = np.searchsorted(ratio, g, side="right") / x
+    masses = np.diff(np.concatenate(([0.0], cum)))
+    order = np.argsort(masses)[::-1][:5]
+    jumps = tuple(sorted((float(g[i]), float(masses[i])) for i in order))
+    return tuple(map(float, cum)), jumps
 
 
 def row_lambda_sweep(pmax, kmax=None):
@@ -554,7 +592,7 @@ def row_lambda_sweep(pmax, kmax=None):
     (p, prod_{q<p}(1-1/q), e, pi(p - 1)) for the primes p <= pmax, with e[j]
     the elementary symmetric function of {1/(q-1): q < p} truncated at kmax.
     The e buffer is reused between rows."""
-    return row_sweep([int(p) for p in _primes_upto(pmax)], kmax)
+    return row_sweep([int(p) for p in eratosthenes_primes(pmax)], kmax)
 
 
 def row_sweep(ps, kmax=None):

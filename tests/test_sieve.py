@@ -12,7 +12,7 @@ import divilab.sieve as sieve_mod
 from divilab import DomainError, ResourceError, SpfSieve, build_sieve, factor, factor_window, is_prime_u64
 from divilab.sieve import SEGMENT, primes_upto
 
-from oracles import spf_table, trial_factor
+from oracles import eratosthenes_primes, spf_table, trial_factor
 
 WINDOW_MAX = 2 * 10**6
 
@@ -46,6 +46,17 @@ def test_primes_listing():
     sv = build_sieve(100)
     assert list(sv.primes()) == [int(p) for p in primes_upto(100)]
     assert list(primes_upto(10)) == [2, 3, 5, 7]
+
+
+def test_primes_upto_matches_full_sieve():
+    # the odds-only sieve against the sieve over every integer that it
+    # replaced: every n <= 3000, both sides of each p^2, and 10^6
+    ns = {*range(3001), 10**6}
+    for p in eratosthenes_primes(200).tolist():
+        ns |= {p * p - 1, p * p, p * p + 1}
+    for n in sorted(ns):
+        got = primes_upto(n)
+        assert got.dtype == np.int64 and np.array_equal(got, eratosthenes_primes(n)), n
 
 
 def test_build_deterministic():

@@ -1,23 +1,28 @@
 """The SPF-derived tables and the quotient-recurrence counts against the
 per-prime strided sieves they replaced,
-the tau^+ bitmask kernel against the per-cell builder it replaced, and the
-hyperbola walker, the divisor-pair kernel and the multiples mask against
-trial division and trial marking.
+the tau^+ bitmask kernel against the per-cell builder it replaced, the
+windowed tau table, interval count and nu_distribution against the
+whole-array scans they replaced, the hyperbola walker, the divisor-pair
+kernel and the multiples mask against trial division and trial marking,
+and the peak memory of the window scans.
 
-The listed sizes straddle the walker's chunk boundaries: its chunks double
-up to 2**20 cells and then advance by 2**20, so x = 2**20 - 1, 2**20 + 3,
-2**21 + 3 and 3 * 2**20 + 7 end inside the first capped chunks.
+The listed sizes straddle the chunk and window boundaries: the SPF walk's
+chunks double up to 2**20 cells and then advance by 2**20, and the windows
+of `_windows` advance by 2**20 from 1, so x = 2**20 - 1, 2**20 + 3,
+2**21 + 3 and 3 * 2**20 + 7 end inside the first capped chunks and on
+either side of a window's end.
 """
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from divilab import DomainError, ResourceError, psi1_count
 from divilab.errors import DEFAULT_SCAN_CAP
-from divilab.experiments import omega_median_count
+from divilab.experiments import h_count, nu_distribution, omega_median_count
 from divilab.sieve import SpfSieve
 from divilab.tables import (
     _divisor_pairs,
@@ -25,22 +30,23 @@ from divilab.tables import (
     _quotients,
     e_set_mask,
     gpf_table,
-    interval_multiples_hits,
     multiples_mask,
     omega_table,
     tau_table,
-    tauplus_table,
     tauplus_window,
 )
 
 from oracles import (
     cell_tauplus_table,
     divisor_lists,
+    hyperbola_tau_table,
+    interval_multiples_hits,
     sieve_gpf_table,
     sieve_omega_table,
     sieve_psi1_mask,
     trial_divisors,
     trial_multiples_mask,
+    whole_table_nu_distribution,
 )
 
 XS = (1, 2, 3, 4, 10, 1000, 2**20 - 1, 2**20 + 3, 2**21 + 3, 3 * 2**20 + 7)
@@ -119,6 +125,20 @@ def test_quotient_counts_raise_past_scan_cap():
         omega_median_count(DEFAULT_SCAN_CAP + 1)
 
 
+def test_window_scans_raise_past_scan_cap_before_any_work(monkeypatch):
+    import divilab.experiments as exp
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scan started")
+
+    monkeypatch.setattr(exp, "_map_chunks", refuse)
+    x = DEFAULT_SCAN_CAP + 1
+    for scan, args in ((exp.t_sum, (x, 2)), (h_count, (x, 1000, 2000)), (nu_distribution, (x,)),
+                       (tau_table, (x,))):
+        with pytest.raises(ResourceError):
+            scan(*args)
+
+
 def test_omega_median_count_refuses_three_factors(monkeypatch):
     # the count covers Omega <= 2, which is all of Omega <= ln ln x below the cap
     assert DEFAULT_SCAN_CAP < math.exp(math.e ** 3)
@@ -130,7 +150,7 @@ def test_omega_median_count_refuses_three_factors(monkeypatch):
 
 @pytest.mark.parametrize("x", XS)
 def test_tauplus_table_matches_oracle(oracle_tables, x):
-    _same(tauplus_table(x), oracle_tables["tauplus"][:x + 1])
+    _same(tauplus_window(1, x + 1), oracle_tables["tauplus"][1:x + 1])
 
 
 @pytest.mark.parametrize("lo, hi", [(10**6 - 5, 10**6 + 2**20 + 3), (2, 3), (1023, 1025),
@@ -187,6 +207,51 @@ def test_tau_table_matches_trial_division(x):
     tau = tau_table(x)
     assert tau.dtype == np.uint16
     assert tau.tolist() == [0] + [len(trial_divisors(n)) for n in range(1, x + 1)]
+
+
+@pytest.mark.parametrize("x", XS[-4:])
+def test_tau_table_matches_whole_array_walk(x):
+    _same(tau_table(x), hyperbola_tau_table(x))
+
+
+@pytest.mark.parametrize("x", XS[-4:])
+def test_h_count_matches_whole_array_mask(x):
+    # (y, z] below sqrt(x), straddling it and above it, and the benchmark's
+    # (1000, 2000]; closed_left adds the divisor y
+    s = math.isqrt(x)
+    for y, z in [(1, 2), (s // 3, s), (s // 2, s + 5), (s, s + 1), (s + 1, 3 * s),
+                 (x // 3, x // 2), (x - 1, x), (1000, 2000)]:
+        for closed_left in (False, True):
+            want = np.count_nonzero(interval_multiples_hits(x, y - closed_left, z)[1:])
+            assert h_count(x, y, z, closed_left) == want, (y, z, closed_left)
+
+
+def test_nu_distribution_matches_whole_tables():
+    for x in (2**20 + 3, 3 * 2**20 + 7):
+        d = nu_distribution(x)
+        cdf, jumps = whole_table_nu_distribution(x, d.grid)
+        assert (d.samples, d.cdf, d.ks_vs, d.jumps) == (x, cdf, None, jumps), x
+
+
+def _peak_bytes(fn, *args):
+    """The peak of traced memory during fn(*args); numpy reports its array
+    buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_h_count_builds_no_whole_range_mask():
+    x = 2**23  # an x-sized boolean mask takes x bytes
+    assert _peak_bytes(h_count, x, 1000, 2000) < x // 4
+
+
+def test_nu_distribution_builds_no_whole_range_table():
+    x = 2**23  # whole uint8 tau^+ and uint16 tau tables take 3 bytes per n
+    assert _peak_bytes(nu_distribution, x) < 4 * x
 
 
 def test_interval_multiples_hits_matches_trial_marking():
