@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "arith": ("INFINITE", "ArithValues", "DivisorSpectrum", "Factored", "basic_fns",
-              "divisors", "factor", "factor_window", "psi1_count"),
+              "divisors", "factor", "psi1_count"),
     "density": ("DensityEstimate",),
     "divgeom": ("OscWeight", "RatioWeight", "delta", "delta_osc", "e_r", "f_theta",
                 "g_sum", "h_alpha", "tau_plus", "u_stat"),

@@ -2,15 +2,14 @@
 
 Everything here is a pure function of a Factored value (or of the sieve),
 so concurrent evaluation over disjoint integers is safe.  The module imports
-no numpy: the window and table paths (`factor_window`, `psi1_count`) import
-it when called, so a single-n query (`factor_int`, `divisors`) starts without
-it.
+no numpy: `psi1_count` imports it when called, so a single-n query
+(`factor_int`, `divisors`) starts without it.  Divisors over a range of n
+come from `tables._divisor_spectra`, which factors nothing.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -100,41 +99,10 @@ def factor(n: int, sieve: SpfSieve) -> Factored:
     return Factored(n, tuple(sieve.factor_pairs(n)))
 
 
-def factor_window(lo: int, hi: int) -> Iterator[Factored]:
-    """Factor every n in [lo, hi], in ascending order, without an SPF table.
-
-    Each segment of the window divides its sieving primes (p <= sqrt(hi))
-    out of their multiples; a cofactor > 1 left over is a single prime.
-    Time O(sqrt(hi) + (hi - lo) log log hi), memory O(SEGMENT).
-    """
-    _check_window(lo, hi)
-    import numpy as np
-
-    from .sieve import segments
-
-    for a, b, ps, starts in segments(lo, hi):
-        rest = np.arange(a, b, dtype=np.int64)
-        pairs: list[list[tuple[int, int]]] = [[] for _ in range(b - a)]
-        for p, j in zip(ps.tolist(), starts.tolist()):
-            v = rest[j::p]  # a view: dividing v divides rest
-            v //= p
-            e = np.ones(len(v), dtype=np.int64)
-            idx = np.flatnonzero(v % p == 0)
-            while len(idx):
-                v[idx] //= p
-                e[idx] += 1
-                idx = idx[v[idx] % p == 0]
-            for i, k in zip(range(j, b - a, p), e.tolist()):
-                pairs[i].append((p, k))
-        for n, r, fs in zip(range(a, b), rest.tolist(), pairs):
-            if r > 1:
-                fs.append((r, 1))
-            yield Factored(n, tuple(fs))
-
-
 def _check_window(lo: int, hi: int) -> None:
-    """The errors `factor_window(lo, hi)` raises before it walks its window:
-    DomainError unless 1 <= lo <= hi, ResourceError past DEFAULT_LIMIT_CAP."""
+    """The checks the CLI makes before it reads the divisors of any n in
+    [lo, hi]: DomainError unless 1 <= lo <= hi, ResourceError past
+    DEFAULT_LIMIT_CAP."""
     if not 1 <= lo <= hi:
         raise DomainError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
     if hi > DEFAULT_LIMIT_CAP:
@@ -145,10 +113,9 @@ def factor_int(n: int) -> Factored:
     """Factor one n by trial division to sqrt(n): O(sqrt(n)) time, O(1) memory,
     no sieve and no numpy.
 
-    This is the single-n path: for 1 <= n <= DEFAULT_LIMIT_CAP it returns the
-    same Factored as next(factor_window(n, n)), and the CLI calls it after
-    _check_window(n, n).  It takes any n >= 1; beyond the cap it is slow
-    (about sqrt(n)/2 divisions), not refused."""
+    This is the single-n path of `fn --n` and the `dtheta` preset, which
+    call it after _check_window(n, n).  It takes any n >= 1; beyond the cap
+    it is slow (about sqrt(n)/2 divisions), not refused."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     m = n
@@ -180,13 +147,13 @@ class DivisorSpectrum:
         return len(self.divisors)
 
 
-def divisors(f: Factored, cap: int = DEFAULT_DIVISOR_CAP) -> DivisorSpectrum:
+def divisors(f: Factored) -> DivisorSpectrum:
     """Divisor spectrum of f, generated by exponent-vector products then sorted."""
     count = 1
     for _, e in f.factors:
         count *= e + 1
-    if count > cap:
-        raise ResourceError(f"tau({f.n}) = {count} exceeds divisor cap {cap}")
+    if count > DEFAULT_DIVISOR_CAP:
+        raise ResourceError(f"tau({f.n}) = {count} exceeds divisor cap {DEFAULT_DIVISOR_CAP}")
     divs = [1]
     for p, e in f.factors:
         pe = 1

@@ -25,7 +25,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .arith import INFINITE, Factored, _check_window, divisors, factor_int, factor_window
+from .arith import INFINITE, _check_window, divisors, factor_int
 from .divgeom import OscWeight, RatioWeight, delta, delta_osc, e_r, f_theta, g_sum, tau_plus
 from .errors import DomainError, ResourceError, UsageError
 from .multiples import (
@@ -246,57 +246,58 @@ def _run_sieve(args, cfg):
 
 
 def _parse_what(what: str):
-    if what in ("delta", "delta-mu", "tauplus", "g"):
-        return what, None
+    """The per-n statistic that `fn --what` names, as a function of a
+    DivisorSpectrum.  A bad parameter (R < 1, T outside (0, 1)) raises
+    DomainError here, before any n; the function raises it only for an n
+    where the statistic is undefined (tau(n) <= R, or tau(n) < 2)."""
+    if what == "delta":
+        return delta
+    if what == "delta-mu":
+        mu_w = OscWeight.moebius()
+        return lambda spec: delta_osc(spec, mu_w)
+    if what == "tauplus":
+        return tau_plus
+    if what == "g":
+        return g_sum
     if what.startswith("er:"):
-        return "er", _number(what.split(":", 1)[1])
+        r = _number(what.split(":", 1)[1])
+        if r < 1:
+            raise DomainError(f"need r >= 1, got {r}")
+        return lambda spec: e_r(spec, r)
     if what.startswith("ftheta:"):
-        return "ftheta", _number(what.split(":", 1)[1], float)
+        weight = RatioWeight.indicator(_number(what.split(":", 1)[1], float))
+        return lambda spec: f_theta(spec, weight)
     raise UsageError(f"unknown --what {what!r}")
 
 
-def _factor_one(n: int) -> Factored:
-    """next(factor_window(n, n)) by trial division: the same Factored and the
-    same errors, without a window or numpy."""
-    _check_window(n, n)
-    return factor_int(n)
-
-
 def _run_fn(args, cfg):
-    kind, param = _parse_what(args.what)
-    if args.n is None and not args.nrange:
-        raise UsageError("fn needs --n or --range")
-    if args.nrange:
+    if (args.n is None) == (args.nrange is None):
+        raise UsageError("fn needs exactly one of --n/--range")
+    if args.nrange is not None:
         lo, hi = _numbers(args.nrange, sep=":", count=2)
     else:
         lo = hi = args.n
     if lo < 1 or hi < lo:
         raise UsageError(f"bad range {lo}:{hi}")
-    mu_w = OscWeight.moebius()
+    stat = _parse_what(args.what)
+    _check_window(lo, hi)
+    if args.nrange is None:
+        spectra = [divisors(factor_int(lo))]
+    else:
+        from .tables import _divisor_spectra
+
+        spectra = _divisor_spectra(lo, hi)
     rows = []
     skipped = 0
-    for f in factor_window(lo, hi) if args.nrange else [_factor_one(lo)]:
-        n = f.n
-        spec = divisors(f)
+    for spec in spectra:
         try:
-            if kind == "delta":
-                v = delta(spec)
-            elif kind == "delta-mu":
-                v = delta_osc(spec, mu_w)
-            elif kind == "tauplus":
-                v = tau_plus(spec)
-            elif kind == "g":
-                v = g_sum(spec)
-            elif kind == "er":
-                v = e_r(spec, param)
-            else:
-                v = f_theta(spec, RatioWeight.indicator(param))
+            v = stat(spec)
         except DomainError:
             if lo == hi:
                 raise  # single-n queries keep the strict per-n contract
             skipped += 1  # range sweeps drop undefined rows (tau too small)
             continue
-        rows.append((n, float(v)))
+        rows.append((spec.n, float(v)))
     rec = ResultRecord("fn", {"what": args.what, "range": [lo, hi]},
                        {"rows": len(rows), "skipped": skipped, "tag": "exact",
                         "value": rows[0][1] if len(rows) == 1 else None})
@@ -472,8 +473,8 @@ def _run_exp(args, cfg):
     if preset == "dtheta":
         theta = _parse_theta(args.theta)
         n = 12 if args.n is None else args.n
-        f = _factor_one(n)
-        val, d_at = exp.dtheta_min(f, theta)
+        _check_window(n, n)  # an n past the cap exits 3 before any trial division
+        val, d_at = exp.dtheta_min(factor_int(n), theta)
         vals = {"n": n, "min": val, "argmin_d": d_at, "tag": "exact"}
         if isinstance(theta, Fraction):
             vals["growth_exponents"] = exp.convergent_growth_report(theta, 12)

@@ -112,6 +112,9 @@ def t_sum(x: int, threads: int = 1) -> tuple[int, int]:
 _KEY_STRIDE = 32
 _KEY_BAND = 1e-6
 
+# Largest x of `s_avg`, whose windows sort every divisor pair of [1, x].
+S_AVG_CAP = 10**7
+
 
 def _delta_window(a: int, b: int) -> np.ndarray:
     """Delta(n) for n in [a, b), b - a <= 2^16, from the window's divisor
@@ -134,10 +137,10 @@ def _delta_sum_chunk(bounds: tuple[int, int]) -> int:
                for a in range(lo, hi, _PAIR_WINDOW))
 
 
-def s_avg(x: int, cap: int = 10**7, threads: int = 1) -> float:
+def s_avg(x: int, threads: int = 1) -> float:
     """Average of the divisor-concentration function over n <= x (exact)."""
-    if x > cap:
-        raise ResourceError(f"s_avg scan {x} exceeds per-n capability cap {cap}")
+    if x > S_AVG_CAP:
+        raise ResourceError(f"s_avg scan {x} exceeds per-n capability cap {S_AVG_CAP}")
     _check_cap(x)
     total = sum(_map_chunks(_delta_sum_chunk, 1, x + 1, threads))
     return total / x

@@ -548,13 +548,13 @@ def block_builder(family: str, params: dict, J: int, eta: float = 0.1) -> BlockS
     return BlockSequence(tuple(blocks), family, eta)
 
 
-def block_elements(seq: BlockSequence, cap: int = DEFAULT_SCAN_CAP) -> GeneratorSet:
+def block_elements(seq: BlockSequence) -> GeneratorSet:
     """Materialize the integers in all blocks (resource-capped)."""
     elems: list[int] = []
     for T, H in seq.blocks:
         lo = math.floor(T)
         hi = math.floor(H * T)
-        if hi > cap:
+        if hi > DEFAULT_SCAN_CAP:
             raise ResourceError(f"block ({T}, {H * T}] exceeds materialization cap")
         elems.extend(range(max(2, lo + 1), hi + 1))
     return GeneratorSet(elems)

@@ -1,18 +1,17 @@
 """Smallest-prime-factor sieve, segmented sieving, primality testing, and the
 sieve cache file.
 
-The SPF table gives O(log n) factorization of every n <= limit and is the
-backbone of all per-integer functions.  It is immutable after construction
-and safe for concurrent reads.
+The SPF table gives O(log n) factorization of every n <= limit.
+`arith.factor`, the whole-range prime-factor tables (`tables.omega_table`,
+`tables.gpf_table`) and the `sieve` command read it; the divisor scans and
+`fn` do not.  It is
+immutable after construction and safe for concurrent reads.
 
-`segments(lo, hi)` is the segmented sieve of Bays and Hudson (BIT 17, 1977):
-it walks [lo, hi] in segments of at most SEGMENT integers, aligned to
-multiples of SEGMENT, and hands each segment [a, b) the primes
-p <= sqrt(b - 1) that have a multiple >= p in it, with the offset of the
-first one.  `arith.factor_window` divides those primes out of a window of
-integers, so a query about [lo, hi] costs O(sqrt(hi) + (hi - lo) log log hi)
-time and O(SEGMENT) memory instead of an SPF table of hi entries.
-`SpfSieve.build` walks the same segments over [2, limit], with larger ones.
+`SpfSieve.build` walks [2, limit] with `segments(lo, hi)`, the segmented
+sieve of Bays and Hudson (BIT 17, 1977): it hands each segment [a, b) of at
+most _BUILD_SEGMENT integers the primes p <= sqrt(b - 1) that have a
+multiple >= p in it, with the offset of the first one, so the build strides
+through one cache-sized segment at a time.
 """
 
 from __future__ import annotations
@@ -27,15 +26,9 @@ import numpy as np
 
 from .errors import DEFAULT_LIMIT_CAP, DomainError, ResourceError
 
-# Integers per segment of `segments`.  A factored window holds a list of
-# prime powers per integer of its current segment: factoring 10^6 integers
-# above 10^7 peaked at 35 MB with 2^14 and 132 MB with 2^18, at equal speed.
-SEGMENT = 1 << 14
-
-# Integers per segment of the SPF table build.  Each segment costs one strided
-# write per sieving prime, so the build wants larger segments than a factored
-# window: at 1e7 it took 0.20-0.25 s with 2^14, 0.09 s with 2^18 and 0.11 s
-# with 2^20 (2-vCPU VM, Python 3.11, numpy 2.4).
+# Integers per segment of `segments`.  Each segment costs one strided write
+# per sieving prime: the SPF build at 1e7 took 0.20-0.25 s with 2^14, 0.09 s
+# with 2^18 and 0.11 s with 2^20 (2-vCPU VM, Python 3.11, numpy 2.4).
 _BUILD_SEGMENT = 1 << 18
 
 # glibc keeps up to 64 MB of freed heap resident (twice its dynamic mmap
@@ -100,9 +93,9 @@ def _trim_heap() -> None:
         _malloc_trim(0)
 
 
-def segments(lo: int, hi: int, _size: int | None = None):
-    """Walk [lo, hi] (lo >= 1) in segments [a, b) of at most SEGMENT integers
-    (or _size, for the SPF table build).
+def segments(lo: int, hi: int):
+    """Walk [lo, hi] (lo >= 1) in segments [a, b) of at most _BUILD_SEGMENT
+    integers, aligned to its multiples.
 
     Yields (a, b, ps, starts): ps holds, ascending, the primes p <= sqrt(b - 1)
     with a multiple m >= max(a, p) below b, and starts[i] = m - a for the
@@ -110,11 +103,10 @@ def segments(lo: int, hi: int, _size: int | None = None):
     prime factors p <= sqrt(b - 1), and what is left of n once they are
     divided out is 1 or a single prime.
     """
-    size = SEGMENT if _size is None else _size
     primes = primes_upto(math.isqrt(hi))
     a = lo
     while a <= hi:
-        b = min((a // size + 1) * size, hi + 1)
+        b = min((a // _BUILD_SEGMENT + 1) * _BUILD_SEGMENT, hi + 1)
         ps = primes[: np.searchsorted(primes, math.isqrt(b - 1), side="right")]
         starts = np.maximum(ps, a + (-a) % ps) - a
         keep = starts < b - a
@@ -136,15 +128,15 @@ class SpfSieve:
         self._primes: np.ndarray | None = None
 
     @classmethod
-    def build(cls, limit: int, cap: int = DEFAULT_LIMIT_CAP) -> "SpfSieve":
+    def build(cls, limit: int) -> "SpfSieve":
         if limit < 2:
             raise DomainError(f"sieve limit must be >= 2, got {limit}")
-        if limit > cap:
-            raise ResourceError(f"sieve limit {limit} exceeds cap {cap}")
+        if limit > DEFAULT_LIMIT_CAP:
+            raise ResourceError(f"sieve limit {limit} exceeds cap {DEFAULT_LIMIT_CAP}")
         _trim_heap()  # the build's peak is then its own, not earlier calls' garbage
         dtype = np.uint32 if limit < 1 << 32 else np.uint64
         spf = np.zeros(limit + 1, dtype=dtype)
-        for a, b, ps, starts in segments(2, limit, _BUILD_SEGMENT):
+        for a, b, ps, starts in segments(2, limit):
             seg = spf[a:b]
             # largest prime first, so each entry ends up holding its smallest
             for p, s in zip(ps[::-1].tolist(), starts[::-1].tolist()):
@@ -226,6 +218,6 @@ class SpfSieve:
         return cls(int(limit), data.astype(data.dtype.newbyteorder("="), copy=False))
 
 
-def build_sieve(limit: int, cap: int = DEFAULT_LIMIT_CAP) -> SpfSieve:
+def build_sieve(limit: int) -> SpfSieve:
     """Build the SPF sieve for 2..limit; deterministic and bit-identical across runs."""
-    return SpfSieve.build(limit, cap=cap)
+    return SpfSieve.build(limit)

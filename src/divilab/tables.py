@@ -18,7 +18,8 @@ by one strided slice per cofactor m = n/d <= sqrt(b).  The divisor scans walk
 [1, x] in the L2-sized windows of `_windows`, as slices over a whole x-sized
 table would stride through all of it once per divisor.  Per-n statistics
 read `_divisor_pairs`: every (n, d) with d | n in a window, as one sorted
-int64 key per pair.
+int64 key per pair; `_divisor_spectra` cuts those windows into one sorted
+divisor list per n for `fn --range`.
 
 Scans partition cleanly over segments with associative merges; results are
 deterministic and independent of partitioning.
@@ -32,6 +33,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .arith import DivisorSpectrum
 from .errors import DEFAULT_SCAN_CAP, DomainError, ResourceError
 from .sieve import SpfSieve, primes_upto
 
@@ -47,11 +49,11 @@ def _windows(lo: int, hi: int) -> Iterator[tuple[int, int]]:
         yield a, min(a + _WINDOW, hi)
 
 
-def _check_cap(x: int, cap: int = DEFAULT_SCAN_CAP) -> None:
+def _check_cap(x: int) -> None:
     if x < 1:
         raise DomainError(f"need x >= 1, got {x}")
-    if x > cap:
-        raise ResourceError(f"scan size {x} exceeds cap {cap}")
+    if x > DEFAULT_SCAN_CAP:
+        raise ResourceError(f"scan size {x} exceeds cap {DEFAULT_SCAN_CAP}")
 
 
 def _spf_walk(x: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
@@ -184,6 +186,20 @@ def _divisor_pairs(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
             for n0, n1, step, d0, d1 in _hyperbola(a, b)]
     key = np.sort(np.concatenate(keys))
     return key >> 32, key & 0xFFFFFFFF
+
+
+def _divisor_spectra(lo: int, hi: int) -> Iterator[DivisorSpectrum]:
+    """The DivisorSpectrum of each n in [lo, hi], ascending, read from
+    `_divisor_pairs` windows: n's divisors run from its d == 1 to the next
+    n's.  The caller checks the range; d < 2^32 holds below DEFAULT_LIMIT_CAP."""
+    for a in range(lo, hi + 1, _PAIR_WINDOW):
+        b = min(a + _PAIR_WINDOW, hi + 1)
+        d = _divisor_pairs(a, b)[1]
+        starts = np.flatnonzero(d == 1).tolist()
+        d = d.tolist()
+        for n, s, e in zip(range(a, b), starts, starts[1:] + [len(d)]):
+            divs = tuple(d[s:e])
+            yield DivisorSpectrum(n, divs, tuple(map(math.log, divs)))
 
 
 def gpf_table(x: int) -> np.ndarray:

@@ -7,16 +7,19 @@ from hypothesis import strategies as st
 
 from divilab import (
     INFINITE,
+    Factored,
     ResourceError,
     basic_fns,
     divisors,
     factor,
+    primes_upto,
     psi1_count,
 )
-from divilab.arith import factor_int, factor_window
+from divilab.arith import DEFAULT_DIVISOR_CAP, factor_int
 from divilab.sieve import DEFAULT_LIMIT_CAP
+from divilab.tables import _divisor_spectra
 
-from oracles import divisor_mobius, naive_mu, naive_phi, naive_psi1, trial_divisors
+from oracles import divisor_mobius, naive_mu, naive_phi, naive_psi1, trial_divisors, trial_factor
 
 
 def test_factor_examples(sieve_1e4):
@@ -35,9 +38,12 @@ SESSION_NS = (2785635, 3870827, 4643704, 4755633, 5573808, 6392468, 6434803, 646
 @pytest.mark.parametrize("n", (1, 2, 4, 720720, 9973**2, 6323 * 6329, 39999983,
                                DEFAULT_LIMIT_CAP, *SESSION_NS))
 def test_factor_int_matches_window(n):
-    """The CLI's single-n route (trial division) and its range route (the
-    segmented window) give the same Factored."""
-    assert factor_int(n) == next(factor_window(n, n))
+    """The CLI's single-n route (trial division to sqrt(n), then the
+    divisors of the Factored) matches the oracle factorization, and gives
+    the same spectrum as its range route (the divisor-pair window at n)."""
+    f = factor_int(n)
+    assert list(f.factors) == trial_factor(n)
+    assert divisors(f) == next(_divisor_spectra(n, n))
 
 
 def test_divisor_examples(sieve_1e4):
@@ -48,9 +54,13 @@ def test_divisor_examples(sieve_1e4):
     assert spec.divisors[:5] == (1, 2, 3, 4, 5)
 
 
-def test_divisor_cap(sieve_1e4):
-    with pytest.raises(ResourceError):
-        divisors(factor(720, sieve_1e4), cap=10)
+def test_divisor_cap():
+    # tau = 2^20 > DEFAULT_DIVISOR_CAP: refused before any divisor is formed
+    ps = primes_upto(71).tolist()
+    assert len(ps) == 20 and 2**20 > DEFAULT_DIVISOR_CAP
+    f = Factored(math.prod(ps), tuple((p, 1) for p in ps))
+    with pytest.raises(ResourceError, match=f"exceeds divisor cap {DEFAULT_DIVISOR_CAP}"):
+        divisors(f)
 
 
 def test_roundtrip_and_divisor_oracle(sieve_1e5):

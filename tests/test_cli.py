@@ -11,9 +11,12 @@ import pytest
 import numpy as np
 
 import divilab
+import divilab.experiments as exp
 from divilab import SpfSieve, build_sieve
 from divilab.cli import dispatch
 from divilab.sieve import DEFAULT_LIMIT_CAP
+
+from oracles import naive_delta
 
 
 def run(capsys, *argv):
@@ -53,6 +56,47 @@ def test_fn_er_and_ftheta(capsys):
     assert out.strip().splitlines()[1].startswith("12,0.693147")
     code, out = run(capsys, "fn", "--n", "12", "--what", "ftheta:0.5")
     assert out.strip().splitlines()[1] == "12,0.5"
+
+
+def test_fn_range_refuses_bad_parameters_before_any_window(capsys, monkeypatch):
+    # a bad R or T exits 2 for a range as for one n, before a window is walked
+    monkeypatch.setattr("divilab.tables._divisor_pairs", None)
+    for what in ("ftheta:1.5", "ftheta:nan", "er:0"):
+        for where in (("--n", "12"), ("--range", "1:100")):
+            code = dispatch(["fn", *where, "--what", what])
+            out, err = capsys.readouterr()
+            assert (code, out) == (2, ""), (what, where)
+            assert err.startswith("domain error: "), err
+
+
+def test_fn_range_skips_only_undefined_rows(capsys):
+    # tau(n) > 3 for n = 6, 8, 10, 12 alone; tau(n) < 2 for n = 1 alone
+    for what, rows in (("er:3", 4), ("ftheta:0.5", 11)):
+        code, out = run(capsys, "fn", "--range", "1:12", "--what", what, "--format", "json")
+        values = json.loads(out)["values"]
+        assert (code, values["rows"], values["skipped"]) == (0, rows, 12 - rows), what
+
+
+def test_fn_n_and_range_are_exclusive(capsys):
+    for where in (("--n", "12", "--range", "1:4"), ()):
+        code = dispatch(["fn", *where, "--what", "delta"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (64, ""), where
+        assert err == "usage error: fn needs exactly one of --n/--range\n"
+
+
+def test_fn_range_sums_match_scan_kernels(capsys):
+    # the per-n spectra against two kernels that never form one: the
+    # windowed Delta of s_avg and the tau^+ bitmask of t_sum
+    x = 70000
+    code, out = run(capsys, "fn", "--range", f"1:{x}", "--what", "delta")
+    rows = out.splitlines()[1:]
+    assert code == 0 and len(rows) == x
+    assert sum(int(r.split(",")[1]) for r in rows) == round(exp.s_avg(x) * x)
+    code, out = run(capsys, "fn", "--range", f"1:{x}", "--what", "tauplus")
+    rows = out.splitlines()[1:]
+    assert code == 0 and len(rows) == x
+    assert sum(int(r.split(",")[1]) for r in rows) == exp.t_sum(x)[0]
 
 
 def test_lambda_median(capsys):
@@ -221,7 +265,7 @@ def test_sieve_cache_env(tmp_path, monkeypatch, capsys):
     code, out = run(capsys, "sieve", "--limit", "5000")
     assert code == 0
     assert cache.exists()
-    # fn factors its own window and leaves the cache as `sieve` wrote it
+    # fn reads no sieve and leaves the cache as `sieve` wrote it
     code, out = run(capsys, "fn", "--n", "12", "--what", "tauplus")
     assert code == 0
     assert out.strip().splitlines()[1] == "12,5"
@@ -326,19 +370,23 @@ def test_lambda_row_csv_fixed(capsys):
 def test_fn_above_cap_exits_3(capsys, monkeypatch):
     # refused before any window is walked, n trial-divided or sieve built
     monkeypatch.setattr("divilab.sieve.segments", None)
+    monkeypatch.setattr("divilab.tables._divisor_pairs", None)
     monkeypatch.setattr("divilab.cli.factor_int", None)
     monkeypatch.setattr(SpfSieve, "build", None)
     for n in (DEFAULT_LIMIT_CAP + 1, 2**31 - 1):
         want_err = f"resource error: sieve limit {n} exceeds cap {DEFAULT_LIMIT_CAP}\n"
         for argv in (("fn", "--n", str(n), "--what", "delta"),
+                     ("fn", "--range", f"{DEFAULT_LIMIT_CAP - 5}:{n}", "--what", "delta"),
                      ("exp", "--preset", "dtheta", "--n", str(n))):
             code = dispatch(list(argv))
             assert (code, *capsys.readouterr()) == (3, "", want_err), argv
 
 
 def test_queries_touch_no_sieve(tmp_path, monkeypatch, capsys):
-    """fn and dtheta factor their own window: no SPF table is built or
-    loaded, and the cache file keeps its bytes and mtime."""
+    """fn and dtheta need no SPF table: `fn --n` and dtheta trial-divide
+    their n, `fn --range` reads the divisor-pair windows.  No table is built
+    or loaded, no prime segment walked, and the cache file keeps its bytes
+    and mtime."""
     cache = tmp_path / "spf.dvl"
     build_sieve(1000).save(cache)
     before = (cache.read_bytes(), cache.stat().st_mtime_ns)
@@ -349,10 +397,12 @@ def test_queries_touch_no_sieve(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(SpfSieve, "build", refuse)
     monkeypatch.setattr(SpfSieve, "load", refuse)
+    monkeypatch.setattr("divilab.sieve.segments", None)
     code, out = run(capsys, "fn", "--n", "39500001", "--what", "tauplus")
     assert (code, out) == (0, "n,value\n39500001,23\n")
     code, out = run(capsys, "fn", "--range", "1990:2010", "--what", "delta")
-    assert code == 0 and len(out.splitlines()) == 22
+    assert code == 0
+    assert out.splitlines()[1:] == [f"{n},{naive_delta(n)}" for n in range(1990, 2011)]
     code, out = run(capsys, "exp", "--preset", "dtheta", "--n", "720720")
     assert code == 0 and json.loads(out)["values"]["n"] == 720720
     assert (cache.read_bytes(), cache.stat().st_mtime_ns) == before

@@ -128,13 +128,10 @@ def test_delta_window_band_pairs(n, want):
     # At 2 * 465 * 1264 the first pair decides Delta (13 without it), at
     # 27 * 536 * 1457 the second (15 with it).  The windows start at
     # 1 mod 2^16, as s_avg's do.
-    from divilab.arith import divisors, factor_window
-    from divilab.divgeom import delta
-
     a = 1 + (n - 1) // exp._PAIR_WINDOW * exp._PAIR_WINDOW
     b = a + exp._PAIR_WINDOW
     got = exp._delta_window(a, b)
-    assert got.tolist() == [delta(divisors(f)) for f in factor_window(a, b - 1)]
+    assert got.tolist() == [list_delta(divs) for divs in divisor_lists(a, b)]
     assert got[n - a] == want
 
 

@@ -2,19 +2,15 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 import divilab.sieve as sieve_mod
-from divilab import DomainError, ResourceError, SpfSieve, build_sieve, factor, factor_window, is_prime_u64
-from divilab.sieve import SEGMENT, primes_upto
+from divilab import DomainError, ResourceError, SpfSieve, build_sieve, is_prime_u64
+from divilab.sieve import _BUILD_SEGMENT, primes_upto
 
 from oracles import eratosthenes_primes, spf_table, trial_factor
-
-WINDOW_MAX = 2 * 10**6
 
 
 def test_spf_small_values():
@@ -190,15 +186,15 @@ def test_build_1e8_prime_entry():
     assert int(sv.spf[99999988]) == 2
 
 
-# -- the SPF table against the unsegmented oracle; factored windows ---------
+# -- the SPF table against the unsegmented oracle ----------------------------
 
 def _same(got, want):
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("limit", [2, 3, 4, 5, 1000, SEGMENT - 1, SEGMENT, SEGMENT + 1,
-                                   2 * SEGMENT + 7, 10**6 + 7])
+@pytest.mark.parametrize("limit", [2, 3, 4, 5, 1000, _BUILD_SEGMENT - 1, _BUILD_SEGMENT,
+                                   _BUILD_SEGMENT + 1, 2 * _BUILD_SEGMENT + 7, 10**6 + 7])
 def test_build_matches_unsegmented_oracle(limit):
     _same(SpfSieve.build(limit).spf, spf_table(limit))
 
@@ -215,44 +211,3 @@ def test_build_matches_unsegmented_oracle(limit):
 def test_build_tiny_segments(segment, limit, monkeypatch):
     monkeypatch.setattr(sieve_mod, "_BUILD_SEGMENT", segment)
     _same(SpfSieve.build(limit).spf, spf_table(limit))
-
-
-@pytest.fixture(scope="module")
-def oracle_sieve():
-    return SpfSieve(WINDOW_MAX, spf_table(WINDOW_MAX))
-
-
-@pytest.mark.parametrize("segment", [SEGMENT, 97, 1000])
-@pytest.mark.parametrize("lo,hi", [(1, 20000), (999000, 10**6), (1999000, 2 * 10**6)])
-def test_factor_window_matches_spf(lo, hi, segment, oracle_sieve, monkeypatch):
-    monkeypatch.setattr(sieve_mod, "SEGMENT", segment)
-    got = list(factor_window(lo, hi))
-    assert got == [factor(n, oracle_sieve) for n in range(lo, hi + 1)]
-
-
-@settings(max_examples=60, deadline=None)
-@given(hi=st.integers(1, WINDOW_MAX), length=st.integers(1, 3000),
-       segment=st.sampled_from([SEGMENT, 64, 1000]))
-@example(hi=1, length=1, segment=SEGMENT)                  # n = 1 alone
-@example(hi=50, length=50, segment=7)                      # 1..50; 49 = 7^2 opens a segment
-@example(hi=999983, length=1, segment=SEGMENT)             # a prime alone
-@example(hi=1985281, length=1, segment=SEGMENT)            # 1409^2, 1409 = isqrt(hi)
-@example(hi=1985281, length=300, segment=64)               # the same, ending a window
-@example(hi=1985282, length=2, segment=SEGMENT)            # 1409^2 just below hi
-@example(hi=WINDOW_MAX, length=1, segment=SEGMENT)
-def test_factor_window_property(hi, length, segment, oracle_sieve):
-    lo = max(1, hi - length + 1)
-    with mock.patch.object(sieve_mod, "SEGMENT", segment):
-        got = list(factor_window(lo, hi))
-    assert got == [factor(n, oracle_sieve) for n in range(lo, hi + 1)]
-
-
-def test_factor_window_errors(monkeypatch):
-    with pytest.raises(DomainError):
-        next(factor_window(0, 5))
-    with pytest.raises(DomainError):
-        next(factor_window(7, 6))
-    # the cap is checked before the window is walked
-    monkeypatch.setattr("divilab.sieve.segments", None)
-    with pytest.raises(ResourceError):
-        next(factor_window(sieve_mod.DEFAULT_LIMIT_CAP + 1, sieve_mod.DEFAULT_LIMIT_CAP + 1))

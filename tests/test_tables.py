@@ -3,7 +3,8 @@ per-prime strided sieves they replaced,
 the tau^+ bitmask kernel against the per-cell builder it replaced, the
 windowed tau table, interval count and nu_distribution against the
 whole-array scans they replaced, the hyperbola walker, the divisor-pair
-kernel and the multiples mask against trial division and trial marking,
+kernel, the per-n divisor spectra cut from it and the multiples mask
+against trial division and trial marking,
 and the peak memory of the window scans.
 
 The listed sizes straddle the chunk and window boundaries: the SPF walk's
@@ -24,8 +25,10 @@ from divilab import DomainError, ResourceError, psi1_count
 from divilab.errors import DEFAULT_SCAN_CAP
 from divilab.experiments import h_count, nu_distribution, omega_median_count
 from divilab.sieve import SpfSieve
+import divilab.tables as tables_mod
 from divilab.tables import (
     _divisor_pairs,
+    _divisor_spectra,
     _hyperbola,
     _quotients,
     e_set_mask,
@@ -200,6 +203,24 @@ def test_divisor_pairs_match_divisor_lists(a, b):
     assert got == divisor_lists(a, b)
     if b - a <= 600:
         assert got == [trial_divisors(n) for n in range(a, b)]
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 1), (65530, 65545), (131070, 131075),
+                                    (399999990, 400000000)])
+def test_divisor_spectra_match_divisor_lists(lo, hi):
+    got = list(_divisor_spectra(lo, hi))
+    assert [s.n for s in got] == list(range(lo, hi + 1))
+    for spec, divs in zip(got, divisor_lists(lo, hi + 1)):
+        assert spec.divisors == tuple(divs)
+        assert spec.logs == tuple(math.log(d) for d in divs)
+
+
+@pytest.mark.parametrize("window", [1, 7, 64])
+def test_divisor_spectra_cross_windows(window, monkeypatch):
+    # a range of several windows, the last one cut short
+    monkeypatch.setattr(tables_mod, "_PAIR_WINDOW", window)
+    got = [spec.divisors for spec in _divisor_spectra(3, 200)]
+    assert got == [tuple(trial_divisors(n)) for n in range(3, 201)]
 
 
 @pytest.mark.parametrize("x", [1, 2, 3, 10, 99, 100, 101, 2000])
