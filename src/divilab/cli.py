@@ -21,8 +21,10 @@ import shlex
 import sys
 import time
 from dataclasses import dataclass
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from . import __version__
 from .arith import INFINITE, _check_window, divisors, factor_int
@@ -39,20 +41,26 @@ from .multiples import (
 )
 
 
-def _fmt(v):
-    """Round floats to 12 significant digits; map sentinels and fractions."""
+# A bracket's printed ends round outward, so they hold what its float ends hold
+_OUTWARD = {"lower": Context(12, ROUND_FLOOR), "upper": Context(12, ROUND_CEILING)}
+
+
+def _fmt(v, key=None):
+    """Round floats to 12 significant digits, to nearest but outward under a
+    `lower` or `upper` key; map sentinels and fractions."""
     if v is INFINITE:
         return "inf"
     if isinstance(v, bool):
         return v
     if isinstance(v, float):
-        return float(f"{v:.12g}")
+        ctx = _OUTWARD.get(key)
+        return float(f"{v:.12g}") if ctx is None else float(ctx.create_decimal_from_float(v))
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
     if isinstance(v, dict):
-        return {k: _fmt(x) for k, x in v.items()}
+        return {k: _fmt(x, k) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
-        return [_fmt(x) for x in v]
+        return [_fmt(x, key) for x in v]
     return v
 
 
@@ -206,15 +214,18 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _emit(pieces: Iterator[str], out: str | None) -> None:
+    """Write the output pieces as they are made; the file opens with the
+    first piece, so a command that fails before any output leaves none."""
+    first = next(pieces)
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as sink:
+        sink.write(first)
+        sink.writelines(pieces)
 
 
-def _csv(rows: list[tuple], header: tuple[str, ...]) -> str:
-    lines = [",".join(header)]
+def _csv(rows: Iterable[tuple], header: tuple[str, ...]) -> Iterator[str]:
+    """CSV text, one line per row as the row is made."""
+    yield ",".join(header) + "\n"
     for row in rows:
         cells = []
         for v in row:
@@ -222,12 +233,12 @@ def _csv(rows: list[tuple], header: tuple[str, ...]) -> str:
                 cells.append(f"{v:.12g}")
             else:
                 cells.append(str(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        yield ",".join(cells) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: return (record, optional csv (header, rows))
+# subcommand handlers: return (record, optional csv (header, rows)); rows may
+# be an iterator that fills the record's counts as it is read
 
 def _run_sieve(args, cfg):
     from .sieve import SpfSieve, build_sieve
@@ -287,21 +298,27 @@ def _run_fn(args, cfg):
         from .tables import _divisor_spectra
 
         spectra = _divisor_spectra(lo, hi)
-    rows = []
-    skipped = 0
-    for spec in spectra:
-        try:
-            v = stat(spec)
-        except DomainError:
-            if lo == hi:
-                raise  # single-n queries keep the strict per-n contract
-            skipped += 1  # range sweeps drop undefined rows (tau too small)
-            continue
-        rows.append((spec.n, float(v)))
-    rec = ResultRecord("fn", {"what": args.what, "range": [lo, hi]},
-                       {"rows": len(rows), "skipped": skipped, "tag": "exact",
-                        "value": rows[0][1] if len(rows) == 1 else None})
-    return rec, (("n", "value"), rows)
+    rec = ResultRecord("fn", {"what": args.what, "range": [lo, hi]}, {"tag": "exact"})
+
+    def rows():
+        made = skipped = 0
+        first = None
+        for spec in spectra:
+            try:
+                v = float(stat(spec))
+            except DomainError:
+                if lo == hi:
+                    raise  # single-n queries keep the strict per-n contract
+                skipped += 1  # range sweeps drop undefined rows (tau too small)
+                continue
+            made += 1
+            if made == 1:
+                first = v
+            yield spec.n, v
+        rec.values.update(rows=made, skipped=skipped, value=first if made == 1 else None)
+
+    # one n's row, or its DomainError, comes before any output is written
+    return rec, (("n", "value"), list(rows()) if lo == hi else rows())
 
 
 def _run_lambda(args, cfg):
@@ -492,15 +509,20 @@ _HANDLERS = {
 }
 
 
-def _execute(args, cfg: RunConfig) -> str:
+def _execute(args, cfg: RunConfig) -> Iterator[str]:
+    """The command's output: a JSON record, or CSV text in pieces as the rows are made."""
     t0 = time.perf_counter()
     rec, table = _HANDLERS[args.cmd](args, cfg)
-    rec.wall_time = time.perf_counter() - t0
     fmt = cfg.output or ("csv" if table is not None else "json")
     if fmt == "csv" and table is not None:
         header, rows = table
-        return _csv(rows, header)
-    return rec.to_json() + "\n"
+        yield from _csv(rows, header)
+        return
+    if table is not None:
+        for _ in table[1]:  # the record's counts are final once its rows are read
+            pass
+    rec.wall_time = time.perf_counter() - t0
+    yield rec.to_json() + "\n"
 
 
 def dispatch(argv: list[str]) -> int:
@@ -512,8 +534,7 @@ def dispatch(argv: list[str]) -> int:
         cfg = _make_config(args, _load_config(getattr(args, "config", None)))
         if args.cmd == "manifest":
             return _run_manifest(args)
-        out_text = _execute(args, cfg)
-        _emit(out_text, args.out)
+        _emit(_execute(args, cfg), args.out)
         return 0
     except UsageError as err:
         sys.stderr.write(f"usage error: {err}\n")
@@ -553,7 +574,7 @@ def _run_manifest(args) -> int:
                 if sub.cmd is None or sub.cmd == "manifest":
                     raise UsageError("manifest lines must be operation subcommands")
                 sub_cfg = _make_config(sub, _load_config(getattr(sub, "config", None)))
-                text = _execute(sub, sub_cfg).rstrip("\n")
+                text = "".join(_execute(sub, sub_cfg)).rstrip("\n")
             except _ERRORS as err:
                 failures += 1
                 kind = next(c.__name__ for c in _ERRORS if isinstance(err, c))

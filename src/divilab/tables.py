@@ -12,14 +12,16 @@ over the about 2 sqrt(x) values floor(x/i) (`_quotients`), as in the
 Legendre / Meissel-Lehmer method, with prime counts from Lucy's sieve
 (`_prime_pi`).
 
-Divisor-indexed tables share one hyperbola walker, `_hyperbola`: in a window
-[a, b), each divisor d <= sqrt(b) marks one strided slice, and larger ones go
-by one strided slice per cofactor m = n/d <= sqrt(b).  The divisor scans walk
-[1, x] in the L2-sized windows of `_windows`, as slices over a whole x-sized
-table would stride through all of it once per divisor.  Per-n statistics
-read `_divisor_pairs`: every (n, d) with d | n in a window, as one sorted
-int64 key per pair; `_divisor_spectra` cuts those windows into one sorted
-divisor list per n for `fn --range`.
+Divisor-indexed tables share one pair walker, `_pairs`: in a window [a, b),
+every divisor pair n = d m is seen once, from its side d <= sqrt(b), in one
+strided slice of the multiples of d, split where m crosses sqrt(b) so that
+the part with m > sqrt(b) also counts m.  The divisor scans walk [1, x] in
+the L2-sized windows of `_windows`, as slices over a whole x-sized table
+would stride through all of it once per divisor.  Per-n statistics read
+every (n, d) with d | n in a window as one sorted int64 key per pair
+(`_pair_keys`), split into n - a and d by `_divisor_pairs`;
+`_divisor_spectra` cuts those windows into one sorted divisor list per n
+for `fn --range`.
 
 Scans partition cleanly over segments with associative merges; results are
 deterministic and independent of partitioning.
@@ -38,8 +40,9 @@ from .errors import DEFAULT_SCAN_CAP, DomainError, ResourceError
 from .sieve import SpfSieve, primes_upto
 
 # Entries per window of `_windows`; 2^20 uint16 tau entries fill a 2 MB L2.  At
-# 1e7, windows of 2^18 / 2^19 / 2^20 took 285 / 204 / 177 ms (tau table), 27.7 /
-# 18.7 / 14.2 ms (h_count) and 330 / 266 / 293 ms (tauplus_window), 2-vCPU VM.
+# 1e7, windows of 2^18 / 2^19 / 2^20 took 150 / 105 / 93 ms (tau table), 25.7 /
+# 17.7 / 13.7 ms (h_count), 183 / 140 / 155 ms (tauplus_window) and 351 / 267 /
+# 266 ms (nu_distribution), median of 5 calls, 2-vCPU VM.
 _WINDOW = 1 << 20
 
 
@@ -97,30 +100,48 @@ def _prime_pi(x: int):
     return V, index, pi
 
 
-def _hyperbola(a: int, b: int, d_lo: int = 1, d_hi: int | None = None):
-    """Cover the pairs (n, d) with a <= n < b, d | n and d_lo <= d <= d_hi
-    (default b - 1), for a >= 1, by runs (n0, n1, step, d0, d1) of n = n0,
-    n0 + step, ..., n1.  A divisor d <= sqrt(b - 1) takes one run of its
-    multiples: d0 = d1 = d, step d.  Larger divisors go by cofactor m: one
-    run of n = m d for d = d0..d1, step m.  So O(sqrt(b)) runs cover any
-    window, each a strided slice of it."""
-    d_hi = b - 1 if d_hi is None else min(d_hi, b - 1)
+def _pairs(a: int, b: int, lo: int = 1, hi: int | None = None):
+    """Cover the pairs (n, e) with a <= n < b, e | n and lo <= e <= hi
+    (default b - 1), for a >= 1, each once, by pieces (d, m0, m1, big) of
+    n = d m for m = m0..m1 (step d in n), d <= root = isqrt(b - 1).
+
+    Each divisor e > root of an n < b has its cofactor n / e <= root, so
+    the runs of multiples of the d <= root alone hold every pair, each seen
+    from its side d <= root: a piece holds (n, d) when d is in bounds and,
+    when big, (n, m) with m > root.  A run splits where m crosses root and where
+    it passes hi.  With lo > 1, a d < lo yields only its big part, for
+    d <= (b - 1) // max(lo, root + 1).  Every n of a piece has a divisor in
+    bounds, and O(sqrt(b)) pieces, each a strided slice, cover any window."""
+    hi = b - 1 if hi is None else min(hi, b - 1)
     root = math.isqrt(b - 1)
-    for d in range(d_lo, min(d_hi, root) + 1):
-        n0 = -(-a // d) * d
-        if n0 < b:
-            yield n0, (b - 1) // d * d, d, d, d
-    lo = max(d_lo, root + 1)
-    for m in range(1, (b - 1) // lo + 1 if lo <= d_hi else 1):
-        d0, d1 = max(lo, -(-a // m)), min(d_hi, (b - 1) // m)
-        if d0 <= d1:
-            yield m * d0, m * d1, m, d0, d1
+    for d in range(lo, min(hi, root) + 1):
+        m0, m1 = -(-a // d), (b - 1) // d
+        if m0 > m1:
+            continue
+        if hi <= root or m1 <= root:  # no second divisor in bounds
+            yield d, m0, m1, False
+            continue
+        if m0 <= root:
+            yield d, m0, root, False
+            m0 = root + 1
+        if m0 <= hi:
+            yield d, m0, min(m1, hi), True
+            m0 = hi + 1
+        if m0 <= m1:
+            yield d, m0, m1, False
+    big = max(lo, root + 1)  # the least m > root in bounds
+    for d in range(1, min(lo - 1, (b - 1) // big) + 1 if big <= hi else 1):
+        m0, m1 = max(big, -(-a // d)), min(hi, (b - 1) // d)
+        if m0 <= m1:
+            yield d, m0, m1, True
 
 
 def _count_divisors(t: np.ndarray, a: int) -> np.ndarray:
-    """Add tau(n) to t[n - a] for every n in [a, a + len(t)); returns t."""
-    for n0, n1, step, _, _ in _hyperbola(a, a + len(t)):
-        t[n0 - a:n1 - a + 1:step] += 1
+    """Add tau(n) to t[n - a] for every n in [a, a + len(t)), one strided
+    slice per `_pairs` piece: 1 for d, 2 where m is a second divisor;
+    returns t."""
+    for d, m0, m1, big in _pairs(a, a + len(t)):
+        t[d * m0 - a:d * m1 - a + 1:d] += 1 + big
     return t
 
 
@@ -140,8 +161,8 @@ def interval_hits_count(x: int, lo_d: int, hi_d: int) -> int:
     count = 0
     for a, b in _windows(1, x + 1):
         hit[:] = False
-        for n0, n1, step, _, _ in _hyperbola(a, b, lo_d + 1, hi_d):
-            hit[n0 - a:n1 - a + 1:step] = True
+        for d, m0, m1, _ in _pairs(a, b, lo_d + 1, hi_d):
+            hit[d * m0 - a:d * m1 - a + 1:d] = True
         count += int(np.count_nonzero(hit[:b - a]))
     return count
 
@@ -150,25 +171,26 @@ def tauplus_window(lo: int, hi: int) -> np.ndarray:
     """tau^+(n) for n in [lo, hi) as uint8: the number of dyadic cells
     (2^(k-1), 2^k] occupied by divisors of n, cell k = bitlen(d - 1).
 
-    In each window [a, b) of `_windows`, every divisor d ORs 1 << k into
-    a uint32 mask of its multiples, one `_hyperbola` run at a time; a run of
-    large divisors splits where d crosses a power of two.  Below the scan
-    cap every d < 2^28, so the 29 cells fit."""
+    In each window [a, b) of `_windows`, each `_pairs` piece ORs the cell
+    bit of d into a uint32 mask of its multiples, and on a big piece the
+    cell bit of m too, split where m crosses a power of two.  Below the
+    scan cap every divisor is < 2^28, so the 29 cells fit."""
     if not 1 <= lo < hi:
         raise DomainError(f"need 1 <= lo < hi, got [{lo}, {hi})")
     _check_cap(hi - 1)
     out = np.empty(hi - lo, dtype=np.uint8)
     for a, b in _windows(lo, hi):
         mask = np.zeros(b - a, dtype=np.uint32)
-        for n0, n1, step, d, d1 in _hyperbola(a, b):
-            if d == d1:
-                mask[n0 - a:n1 - a + 1:step] |= 1 << (d - 1).bit_length()
+        for d, m, m1, big in _pairs(a, b):
+            bit = 1 << (d - 1).bit_length()
+            if not big:
+                mask[d * m - a:d * m1 - a + 1:d] |= bit
                 continue
-            while d <= d1:
-                k = (d - 1).bit_length()
-                top = min(d1, 1 << k)
-                mask[step * d - a:step * top - a + 1:step] |= 1 << k
-                d = top + 1
+            while m <= m1:
+                k = (m - 1).bit_length()
+                top = min(m1, 1 << k)
+                mask[d * m - a:d * top - a + 1:d] |= bit | 1 << k
+                m = top + 1
         out[a - lo:b - lo] = np.bitwise_count(mask)
     return out
 
@@ -176,30 +198,49 @@ def tauplus_window(lo: int, hi: int) -> np.ndarray:
 _PAIR_WINDOW = 1 << 16  # n - a < 2^16 and d < 2^32 share one int64 key
 
 
+def _pair_keys(a: int, b: int) -> np.ndarray:
+    """The int64 keys (n - a) << 32 | d over every divisor d of every n in
+    [a, b), b - a <= 2^16, sorted, so by n and then d.  Each `_pairs` piece
+    is one arithmetic progression of keys, step d << 32, and a big piece a
+    second one for its m, step d << 32 | 1.  They are written into one array
+    sized from the pieces, so no list of them is held beside it."""
+    pieces = list(_pairs(a, b))
+    key = np.empty(sum((m1 - m0 + 1) << big for _, m0, m1, big in pieces), dtype=np.int64)
+    i = 0
+    for d, m0, m1, big in pieces:
+        k0, k1, c = (d * m0 - a) << 32, (d * m1 - a) << 32, m1 - m0 + 1
+        key[i:i + c] = np.arange(k0 | d, (k1 | d) + 1, d << 32, dtype=np.int64)
+        i += c
+        if big:
+            key[i:i + c] = np.arange(k0 | m0, (k1 | m1) + 1, d << 32 | 1, dtype=np.int64)
+            i += c
+    key.sort()
+    return key
+
+
 def _divisor_pairs(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
     """(n - a, d) over every divisor d of every n in [a, b), b - a <= 2^16,
-    as flat int64 arrays sorted by n and then d.  Each `_hyperbola` run is
-    one arithmetic progression of the key (n - a) << 32 | d: step d << 32
-    for the multiples of one d, (m << 32) + 1 along a cofactor run."""
-    keys = [np.arange((n0 - a) << 32 | d0, ((n1 - a) << 32 | d1) + 1,
-                      step << 32 | (d0 != d1), dtype=np.int64)
-            for n0, n1, step, d0, d1 in _hyperbola(a, b)]
-    key = np.sort(np.concatenate(keys))
-    return key >> 32, key & 0xFFFFFFFF
+    as flat int64 arrays sorted by n and then d, split from `_pair_keys`."""
+    key = _pair_keys(a, b)
+    off = key >> 32
+    key &= 0xFFFFFFFF
+    return off, key
 
 
 def _divisor_spectra(lo: int, hi: int) -> Iterator[DivisorSpectrum]:
-    """The DivisorSpectrum of each n in [lo, hi], ascending, read from
-    `_divisor_pairs` windows: n's divisors run from its d == 1 to the next
-    n's.  The caller checks the range; d < 2^32 holds below DEFAULT_LIMIT_CAP."""
+    """The DivisorSpectrum of each n in [lo, hi], ascending, read from the
+    `_pair_keys` of one window at a time: n's divisors run from its d == 1
+    to the next n's, and they become Python ints one n at a time.  The
+    caller checks the range; d < 2^32 holds below DEFAULT_LIMIT_CAP."""
     for a in range(lo, hi + 1, _PAIR_WINDOW):
         b = min(a + _PAIR_WINDOW, hi + 1)
-        d = _divisor_pairs(a, b)[1]
+        d = _pair_keys(a, b)
+        d &= 0xFFFFFFFF
         starts = np.flatnonzero(d == 1).tolist()
-        d = d.tolist()
         for n, s, e in zip(range(a, b), starts, starts[1:] + [len(d)]):
-            divs = tuple(d[s:e])
+            divs = tuple(d[s:e].tolist())  # one n's divisors as ints at a time
             yield DivisorSpectrum(n, divs, tuple(map(math.log, divs)))
+        del d  # before the next window's pairs are made
 
 
 def gpf_table(x: int) -> np.ndarray:

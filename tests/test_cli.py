@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -60,7 +61,7 @@ def test_fn_er_and_ftheta(capsys):
 
 def test_fn_range_refuses_bad_parameters_before_any_window(capsys, monkeypatch):
     # a bad R or T exits 2 for a range as for one n, before a window is walked
-    monkeypatch.setattr("divilab.tables._divisor_pairs", None)
+    monkeypatch.setattr("divilab.tables._pairs", None)
     for what in ("ftheta:1.5", "ftheta:nan", "er:0"):
         for where in (("--n", "12"), ("--range", "1:100")):
             code = dispatch(["fn", *where, "--what", what])
@@ -83,6 +84,33 @@ def test_fn_n_and_range_are_exclusive(capsys):
         out, err = capsys.readouterr()
         assert (code, out) == (64, ""), where
         assert err == "usage error: fn needs exactly one of --n/--range\n"
+
+
+def test_fn_range_memory_does_not_grow_with_its_length(tmp_path, monkeypatch):
+    """`fn --range` writes its CSV rows, or counts them for the JSON record,
+    as each window's rows are made: 1000 and 20000 integers peak within
+    2 MB of each other, where holding every row takes about 5 MB more."""
+    import tracemalloc
+
+    monkeypatch.setattr("divilab.tables._PAIR_WINDOW", 256)
+    out = tmp_path / "rows.csv"
+
+    def fn_range(n, fmt):
+        return dispatch(["fn", "--range", f"10000:{9999 + n}", "--what", "tauplus",
+                         "--format", fmt, "--out", str(out)])
+
+    fn_range(20000, "json")  # fills the interpreter's free lists of small tuples first
+    for fmt in ("csv", "json"):
+        peaks = []
+        for n in (1000, 20000):
+            tracemalloc.start()
+            try:
+                assert fn_range(n, fmt) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 2 * 2**20, (fmt, peaks)
+    assert json.loads(out.read_text())["values"]["rows"] == 20000
 
 
 def test_fn_range_sums_match_scan_kernels(capsys):
@@ -128,13 +156,21 @@ def test_lambdad_mc_needs_seed(capsys):
     assert code == 64
 
 
+def _printed_ends(out):
+    """A record's printed lower and upper ends, read exactly as written."""
+    values = json.loads(out, parse_float=Fraction)["values"]
+    return values["lower"], values["upper"]
+
+
 def test_multiples_exact(capsys):
     code, out = run(capsys, "multiples", "--interval", "4:8", "--density", "exact")
     assert code == 0
     rec = json.loads(out)
     assert rec["values"]["point"] == pytest.approx(17 / 35, abs=1e-10)
-    assert rec["values"]["lower"] == rec["values"]["upper"]
     assert rec["values"]["method"] == "exact_ie"
+    # the printed ends hold the exact density, one 12th digit apart
+    lower, upper = _printed_ends(out)
+    assert lower <= Fraction(17, 35) <= upper <= lower + Fraction(1, 10**12)
     # 30 generators: the valuation DP finishes within its state budget
     code, out = run(capsys, "multiples", "--interval", "1000:1030", "--density", "exact")
     assert code == 0
@@ -144,12 +180,14 @@ def test_multiples_exact(capsys):
 
 
 def test_multiples_sieve_and_log_ends(capsys):
-    # the exact share up to x: its ends are one ulp from the point at most,
-    # which the CLI's 12 digits do not show
+    # the exact share up to x, 485714/10^6: its float ends lie one ulp outside
+    # it, so the ends printed outward lie one 12th digit outside it
     code, out = run(capsys, "multiples", "--interval", "4:8", "--density", "sieve:1000000")
     assert code == 0
     values = json.loads(out)["values"]
-    assert values["lower"] == values["point"] == values["upper"] == 0.485714
+    assert values["point"] == 0.485714
+    lower, upper = _printed_ends(out)
+    assert (lower, upper) == (Fraction("0.485713999999"), Fraction("0.485714000001"))
     assert values["method"] == "sieve_count"
     code, out = run(capsys, "multiples", "--interval", "4:8", "--density", "log:100000")
     assert code == 0
@@ -161,8 +199,10 @@ def test_multiples_sieve_and_log_ends(capsys):
 
 def test_multiples_bonferroni(capsys):
     code, out = run(capsys, "multiples", "--gens", "2,3", "--density", "bonferroni:1")
-    rec = json.loads(out)
-    assert rec["values"]["lower"] - 1e-12 <= 2 / 3 <= rec["values"]["upper"] + 1e-12
+    assert code == 0
+    lower, upper = _printed_ends(out)  # the depth-1 bracket [2/3, 5/6], printed outward
+    assert lower <= Fraction(2, 3) and Fraction(5, 6) <= upper
+    assert upper - lower <= Fraction(1, 6) + Fraction(2, 10**12)
 
 
 def test_multiples_sequential(capsys):
@@ -370,7 +410,7 @@ def test_lambda_row_csv_fixed(capsys):
 def test_fn_above_cap_exits_3(capsys, monkeypatch):
     # refused before any window is walked, n trial-divided or sieve built
     monkeypatch.setattr("divilab.sieve.segments", None)
-    monkeypatch.setattr("divilab.tables._divisor_pairs", None)
+    monkeypatch.setattr("divilab.tables._pairs", None)
     monkeypatch.setattr("divilab.cli.factor_int", None)
     monkeypatch.setattr(SpfSieve, "build", None)
     for n in (DEFAULT_LIMIT_CAP + 1, 2**31 - 1):

@@ -2,7 +2,7 @@
 per-prime strided sieves they replaced,
 the tau^+ bitmask kernel against the per-cell builder it replaced, the
 windowed tau table, interval count and nu_distribution against the
-whole-array scans they replaced, the hyperbola walker, the divisor-pair
+whole-array scans they replaced, the pair walker, the divisor-pair
 kernel, the per-n divisor spectra cut from it and the multiples mask
 against trial division and trial marking,
 and the peak memory of the window scans.
@@ -29,7 +29,7 @@ import divilab.tables as tables_mod
 from divilab.tables import (
     _divisor_pairs,
     _divisor_spectra,
-    _hyperbola,
+    _pairs,
     _quotients,
     e_set_mask,
     gpf_table,
@@ -168,28 +168,49 @@ def test_tauplus_window_domain():
             tauplus_window(lo, hi)
 
 
-def _run_pairs(a, b, d_lo=1, d_hi=None):
+def _read_pairs(a, b, lo=1, hi=None):
+    """The pairs (n, e) in [lo, hi] that the `_pairs` pieces of [a, b) hold:
+    (n, d) when d is in bounds, (n, m) when the piece is big."""
+    top = b - 1 if hi is None else hi
+    root = math.isqrt(b - 1)
     pairs = []
-    for n0, n1, step, d0, d1 in _hyperbola(a, b, d_lo, d_hi):
-        ns = range(n0, n1 + 1, step)
-        ds = [d0] * len(ns) if d0 == d1 else range(d0, d1 + 1)
-        assert len(ds) == len(ns)
-        pairs += zip(ns, ds)
+    for d, m0, m1, big in _pairs(a, b, lo, hi):
+        assert 1 <= d <= root and m0 <= m1 and a <= d * m0 and d * m1 < b
+        assert lo <= d <= top or big  # every n of a piece has a divisor in bounds
+        assert not big or root < m0
+        ms = range(m0, m1 + 1)
+        if lo <= d <= top:
+            pairs += ((d * m, d) for m in ms)
+        if big:
+            pairs += ((d * m, m) for m in ms)
     return pairs
 
 
+# b - 1 = 99**2 - 1, 99**2 and 99**2 + 1 put root's square at the window's end;
+# in (1000, 1300) and (9000, 9801) the runs of d near root cross it inside
 @pytest.mark.parametrize("a, b", [(1, 2), (1, 101), (2, 3), (97, 98), (1000, 1300),
-                                  (10**5 - 17, 10**5 + 400)])
-def test_hyperbola_covers_each_divisor_once(a, b):
-    rng = random.Random(a)
-    bounds = [(1, None), (1, b), (3, 7), (max(1, b // 3), b // 2)]
+                                  (10**5 - 17, 10**5 + 400), (9000, 9801), (9000, 9802),
+                                  (9000, 9803)])
+def test_pairs_cover_each_divisor_once(a, b):
+    rng = random.Random(a * b)
+    root = math.isqrt(b - 1)
+    bounds = [(1, None), (1, b), (3, 7), (max(1, b // 3), b // 2),
+              (max(1, root - 2), root + 3), (root + 1, b), (1, root)]
     bounds += [(rng.randint(1, b), rng.randint(1, 2 * b)) for _ in range(4)]
-    for d_lo, d_hi in bounds:
-        top = b if d_hi is None else d_hi
-        want = sorted((n, d) for n in range(a, b) for d in trial_divisors(n) if d_lo <= d <= top)
-        pairs = _run_pairs(a, b, d_lo, d_hi)
-        assert sorted(pairs) == want, (d_lo, d_hi)  # no pair twice, none missing
-        assert all(n % d == 0 for n, d in pairs)
+    for lo, hi in bounds:
+        top = b if hi is None else hi
+        want = sorted((n, d) for n in range(a, b) for d in trial_divisors(n) if lo <= d <= top)
+        assert sorted(_read_pairs(a, b, lo, hi)) == want, (lo, hi)  # no pair twice, none missing
+
+
+@pytest.mark.parametrize("a, b", [(1, 2), (1, 2**20 + 1), (9000, 9802), (10**7, 10**7 + 2**20),
+                                  (4 * 10**8 - 2**16, 4 * 10**8 + 1)])
+def test_pairs_walk_each_run_once(a, b):
+    # one piece per d <= root, and a second only where its run crosses root:
+    # a cofactor walk over the large divisors would add about root more
+    root = math.isqrt(b - 1)
+    crossing = sum(-(-a // d) <= root < (b - 1) // d for d in range(1, root + 1))
+    assert sum(1 for _ in _pairs(a, b)) <= root + crossing
 
 
 @pytest.mark.parametrize("a, b", [(1, 2), (1, 3000), (10**6 - 300, 10**6 + 300),
