@@ -32,6 +32,7 @@ from .divgeom import OscWeight, RatioWeight, delta, delta_osc, e_r, f_theta, g_s
 from .errors import DomainError, ResourceError, UsageError
 from .multiples import (
     GeneratorSet,
+    _bracket_estimate,
     block_builder,
     block_elements,
     density_bracket,
@@ -478,11 +479,16 @@ def _run_exp(args, cfg):
     if preset == "eps":
         if not args.y or not args.z:
             raise UsageError("eps preset needs --y and --z")
-        e, e1, rho = exp.eps_pair(args.y, args.z, args.x)
+        e, e1, _ = exp.eps_pair(args.y, args.z, args.x)
+        if e.exact is not None and e1.exact is not None:
+            lo = hi = e1.exact / e.exact
+        else:  # rho_1 = eps_1 / eps from the outward float ends, at most 1
+            lo = Fraction(e1.lower) / Fraction(e.upper)
+            hi = min(Fraction(e1.upper) / Fraction(e.lower), Fraction(1))
         return ResultRecord("exp", {"preset": preset, "y": args.y, "z": args.z,
                                     "x": args.x},
                             {"eps": e.as_record(), "eps1": e1.as_record(),
-                             "rho1": rho}), None
+                             "rho1": _bracket_estimate(lo, hi).as_record()}), None
     if preset == "totients":
         cnt = exp.totient_values(args.x)
         return ResultRecord("exp", {"preset": preset, "x": args.x},

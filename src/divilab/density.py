@@ -57,6 +57,8 @@ class DensityEstimate:
             "upper": self.upper,
             "method": self.method,
         }
+        if self.exact is not None:
+            rec["exact"] = self.exact
         if self.params:
             rec["params"] = dict(self.params)
         return rec

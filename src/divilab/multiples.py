@@ -8,11 +8,15 @@ inequality; Hall-Tenenbaum, *Divisors*, ch. 0).  The same holds for the
 elements of any coprime base of A, which gcd refinement finds without
 factoring.  The DP takes the base elements in descending order; its state is
 the primitive set of quotients still to be matched, split into independent
-groups whenever no base element links them.  Past a budget of MAX_DP_STATES
-states it encloses the states it meets instead of solving them, so each set
-gets a rigorous bracket, exact when the DP finishes.  `density_bracket`
-(auto), `remainder_Rn` and `experiments.eps_pair` report it; exact_ie,
-`m_of_y` and `behrend_ineq_check` raise ResourceError unless it is exact.
+groups whenever no base element links them.  It runs as one loop over an
+explicit stack of frames, so a set of any depth (one branch level per base
+element) needs no recursion, and each branch level takes in only its new
+quotients instead of reducing its whole state again.  Past a budget of
+MAX_DP_STATES states it encloses the states it meets instead of solving them,
+so each set gets a rigorous bracket, exact when the DP finishes.
+`density_bracket` (auto), `m_of_y`, `remainder_Rn` and
+`experiments.eps_pair` report it; exact_ie and `behrend_ineq_check` raise
+ResourceError unless it is exact.
 
 The exact engine and the Bonferroni sums are pure Python, so the module
 imports no numpy: the scans up to x (`multiples_count` and its callers,
@@ -138,6 +142,9 @@ class _ValuationDP:
     holds MAX_DP_STATES states, a state not in it is enclosed (_enclosure),
     not expanded or stored.  Branch weights are positive and 1 - prod(1 - d)
     grows with each d, so lower ends combine with lower ends, upper with upper.
+    The states are solved depth first on an explicit stack (_solve), with no
+    depth limit, and enter the memo in the order a recursion would store
+    them, so a budget encloses the same states whatever the depth.
     """
 
     def __init__(self, gens: Sequence[int]):
@@ -167,54 +174,103 @@ class _ValuationDP:
             hit = self.profiles[q] = (m, v, mask)
         return hit
 
-    def _solve(self, state: tuple[int, ...]) -> tuple[int, int, int]:
+    def _solve(self, root: tuple[int, ...]) -> tuple[int, int, int]:
+        """(lo, hi, L) for a primitive state, by one loop over a stack of
+        frames (_frame), so no depth limit applies.  A frame yields its child
+        states and is sent back their results; a child that _leaf answers
+        pushes no frame."""
+        out = self._leaf(root)
+        if out is not None:
+            return out
+        stack = [self._frame(root)]
+        while stack:
+            try:
+                child = stack[-1].send(out)
+            except StopIteration as done:
+                stack.pop()
+                out = done.value
+                continue
+            out = self._leaf(child)
+            if out is None:
+                stack.append(self._frame(child))
+        return out
+
+    def _leaf(self, state: tuple[int, ...]) -> tuple[int, int, int] | None:
+        """The result of a state that needs no frame: a memo hit, an
+        enclosure once the memo is full, or a one-element state; else None."""
         hit = self.memo.get(state)
         if hit is not None:
             return hit
         if len(self.memo) >= MAX_DP_STATES:
             return _enclosure(state)
-        profs = [self._profile(q) for q in state]
-        groups: list[tuple[int, list[int]]] = []
-        for q, (_, _, mask) in zip(state, profs):
-            members = [q]
+        if len(state) == 1:
+            hit = self.memo[state] = (1, 1, state[0])
+        return hit
+
+    def _frame(self, state: tuple[int, ...]):
+        """Solve a state of two or more elements, yielding each child state
+        and receiving its (lo, hi, L); the state enters the memo when its
+        frame returns, so in the order of a depth-first recursion."""
+        known = self.profiles.get
+        profs = [known(q) or self._profile(q) for q in state]
+        groups: list[int] = []  # the base elements of each group, as masks
+        for _, _, mask in profs:
             rest = []
-            for g_mask, g_members in groups:
-                if g_mask & mask:
-                    mask |= g_mask
-                    members += g_members
+            for g in groups:
+                if g & mask:
+                    mask |= g
                 else:
-                    rest.append((g_mask, g_members))
-            rest.append((mask, members))
+                    rest.append(g)
+            rest.append(mask)
             groups = rest
         if len(groups) > 1:
             # coprime group lcms multiply to lcm(state); lower ends bound the miss above
             whole = miss_hi = miss_lo = 1
-            for _, members in groups:
-                lo, hi, L = self._solve(tuple(sorted(members)))
+            for g in groups:
+                lo, hi, L = yield tuple(q for q, (_, _, mask) in zip(state, profs) if mask & g)
                 whole *= L
                 miss_hi *= L - lo
                 miss_lo *= L - hi
             out = (whole - miss_hi, whole - miss_lo, whole)
-        elif len(state) == 1:
-            out = (1, 1, state[0])
         else:
-            out = self._branch(state, profs)
+            out = yield from self._branch(state, profs)
         self.memo[state] = out
         return out
 
-    def _branch(self, state: tuple[int, ...], profs) -> tuple[int, int, int]:
-        """Branch on v_m(n) for the largest base element m in the state."""
+    def _branch(self, state: tuple[int, ...], profs):
+        """Branch on v_m(n) for the largest base element m in the state.
+
+        Write q = m^v r with m not dividing r; q matches n iff v <= v_m(n)
+        and r | n.  Level u's state is the primitive set of the r with
+        v <= u, reduced incrementally: it takes in the r with v = u, and no
+        element of the level below divides one of them (r' | r with v' < u
+        would give m^v' r' | m^u r, two elements of a primitive state), so
+        only the new r are checked against each other and the old elements
+        against the new r."""
         m = max(tm for tm, _, _ in profs)
-        # q = m^v r with m not dividing r, which matches n iff v <= v_m(n) and r | n
-        parts = [(v, q // m**v) if tm == m else (0, q) for q, (tm, v, _) in zip(state, profs)]
-        levels = sorted({v for v, _ in parts})
+        sub: list[int] = []  # level 0: the elements m does not divide
+        new: dict[int, list[int]] = {}  # v > 0 -> its r, ascending as the state is
+        for q, (tm, v, _) in zip(state, profs):
+            if tm == m:
+                new.setdefault(v, []).append(q // m**v)
+            else:
+                sub.append(q)
+        levels = ([0] if sub else []) + sorted(new)
         e = levels[-1]
-        lcm_rest = math.lcm(*(r for _, r in parts))
+        lcm_rest = math.lcm(*sub, *itertools.chain.from_iterable(new.values()))
         lo = hi = 0
         for i, u in enumerate(levels):
+            if u:
+                fresh: list[int] = []
+                for r in new[u]:
+                    if all(r % b for b in fresh):
+                        fresh.append(r)
+                for r in fresh:
+                    sub = [a for a in sub if a % r]
+                sub = sorted(sub + fresh)
             # v_m(n) in [u, next level) has weight m^-u - m^-next, here scaled
             # by the m^e in the lcm; below the lowest level nothing matches
-            sub_lo, sub_hi, sub_lcm = self._solve(_primitive(r for v, r in parts if v <= u))
+            sub_lo, sub_hi, sub_lcm = yield tuple(sub)
             w = m ** (e - u) - (m ** (e - levels[i + 1]) if i + 1 < len(levels) else 0)
             w *= lcm_rest // sub_lcm
             lo += w * sub_lo
@@ -246,10 +302,10 @@ def _valuation_density(gens: Iterable[int]) -> Fraction:
     return lo
 
 
-def _bracket_estimate(lo: Fraction, hi: Fraction) -> DensityEstimate:
+def _bracket_estimate(lo: Fraction, hi: Fraction, **params) -> DensityEstimate:
     """The valuation DP's result [lo, hi]: exact_ie when lo == hi, else a
     valuation_bracket."""
-    return bracket(lo, hi, "exact_ie" if lo == hi else "valuation_bracket")
+    return bracket(lo, hi, "exact_ie" if lo == hi else "valuation_bracket", **params)
 
 
 def divisor_hit_densities(A: GeneratorSet) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -585,7 +641,9 @@ def m_of_y(A: GeneratorSet, y: int) -> DensityEstimate:
     product measure of valuations the y-friable part of n is r with
     probability prod_{p<=y}(1 - 1/p) / r, and n lies in M(A_y) exactly when
     that part does, so m(y) = d M(A_y), which the valuation DP computes (0
-    when A_y is empty).  Raises ResourceError past MAX_DP_STATES states."""
+    when A_y is empty): exact_ie when it finishes, else a valuation_bracket
+    from the enclosures past MAX_DP_STATES states, as density_bracket's auto
+    route."""
     from .sieve import primes_upto
 
     if y < 2:
@@ -599,8 +657,7 @@ def m_of_y(A: GeneratorSet, y: int) -> DensityEstimate:
                 m //= p
         if m == 1:
             ay.append(a)
-    d = _valuation_density(ay)
-    return bracket(d, d, "exact_ie", y=y)
+    return _bracket_estimate(*_ValuationDP(ay).bounds(ay), y=y)
 
 
 # ---------------------------------------------------------------------------

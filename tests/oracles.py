@@ -9,8 +9,10 @@ per-cell tau^+ builder that the divisor bitmask replaced, the whole-array
 tau table, interval mask and nu_distribution that the window walk replaced,
 the full Eratosthenes sieve that the odds-only one replaced, the unsegmented
 SPF sieve, the subset-walk Bonferroni bracket, the per-prime local-law e_j
-sweep that the column-wise DP replaced, and the truncated friable sum with
-its Rankin tail that m(y) came from.  Slow on purpose.
+sweep that the column-wise DP replaced, the truncated friable sum with
+its Rankin tail that m(y) came from, and the recursive valuation DP that
+reduced each branch level's whole state, which the explicit-stack engine
+replaced.  Slow on purpose.
 """
 
 import math
@@ -608,3 +610,116 @@ def row_sweep(ps, kmax=None):
         e[1:hi + 1] += e[:hi] / (p - 1)
         seen += 1
         prod *= 1.0 - 1.0 / p
+
+
+class RecursiveValuationDP:
+    """The valuation DP as it ran before its explicit stack: _solve recurses
+    once per state, and _branch reduces each level's whole state again with
+    the quadratic _primitive.  Same coprime base, memo order, budget and
+    enclosure as the engine, here with the budget passed in; Python's
+    recursion limit bounds its depth."""
+
+    def __init__(self, gens, budget):
+        self.base = sorted(self._coprime_base(gens), reverse=True)
+        self.budget = budget
+        self.profiles = {}
+        self.memo = {(): (0, 0, 1), (1,): (1, 1, 1)}
+
+    @staticmethod
+    def _primitive(values):
+        kept = []
+        for a in sorted(set(values)):
+            if not any(a % b == 0 for b in kept):
+                kept.append(a)
+        return tuple(kept)
+
+    @staticmethod
+    def _coprime_base(values):
+        base, todo = [], [v for v in set(values) if v > 1]
+        while todo:
+            x = todo.pop()
+            for i, b in enumerate(base):
+                g = math.gcd(x, b)
+                if g > 1:
+                    del base[i]
+                    todo += [t for t in (g, x // g, b // g) if t > 1]
+                    break
+            else:
+                base.append(x)
+        return base
+
+    @staticmethod
+    def _enclosure(state):
+        from itertools import combinations
+
+        L = math.lcm(*state)
+        s1 = sum(L // q for q in state)
+        s2 = sum(L // math.lcm(a, b) for a, b in combinations(state, 2))
+        miss = L * math.prod(q - 1 for q in state) // math.prod(state)
+        return max(L // state[0], s1 - s2), L - miss, L
+
+    def _profile(self, q):
+        hit = self.profiles.get(q)
+        if hit is None:
+            mask = 0
+            for i, m in enumerate(self.base):
+                if q % m == 0:
+                    mask |= 1 << i
+            m = self.base[(mask & -mask).bit_length() - 1]
+            v, r = 1, q // m
+            while r % m == 0:
+                v, r = v + 1, r // m
+            hit = self.profiles[q] = (m, v, mask)
+        return hit
+
+    def root(self, elems):
+        """(lo, hi, L) for d M(elems)."""
+        return self._solve(self._primitive(elems))
+
+    def _solve(self, state):
+        hit = self.memo.get(state)
+        if hit is not None:
+            return hit
+        if len(self.memo) >= self.budget:
+            return self._enclosure(state)
+        profs = [self._profile(q) for q in state]
+        groups = []
+        for q, (_, _, mask) in zip(state, profs):
+            members, rest = [q], []
+            for g_mask, g_members in groups:
+                if g_mask & mask:
+                    mask |= g_mask
+                    members += g_members
+                else:
+                    rest.append((g_mask, g_members))
+            rest.append((mask, members))
+            groups = rest
+        if len(groups) > 1:
+            whole = miss_hi = miss_lo = 1
+            for _, members in groups:
+                lo, hi, L = self._solve(tuple(sorted(members)))
+                whole *= L
+                miss_hi *= L - lo
+                miss_lo *= L - hi
+            out = (whole - miss_hi, whole - miss_lo, whole)
+        elif len(state) == 1:
+            out = (1, 1, state[0])
+        else:
+            out = self._branch(state, profs)
+        self.memo[state] = out
+        return out
+
+    def _branch(self, state, profs):
+        m = max(tm for tm, _, _ in profs)
+        parts = [(v, q // m**v) if tm == m else (0, q) for q, (tm, v, _) in zip(state, profs)]
+        levels = sorted({v for v, _ in parts})
+        e = levels[-1]
+        lcm_rest = math.lcm(*(r for _, r in parts))
+        lo = hi = 0
+        for i, u in enumerate(levels):
+            sub_lo, sub_hi, sub_lcm = self._solve(self._primitive(r for v, r in parts if v <= u))
+            w = m ** (e - u) - (m ** (e - levels[i + 1]) if i + 1 < len(levels) else 0)
+            w *= lcm_rest // sub_lcm
+            lo += w * sub_lo
+            hi += w * sub_hi
+        return lo, hi, m**e * lcm_rest

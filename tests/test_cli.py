@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -168,6 +169,7 @@ def test_multiples_exact(capsys):
     rec = json.loads(out)
     assert rec["values"]["point"] == pytest.approx(17 / 35, abs=1e-10)
     assert rec["values"]["method"] == "exact_ie"
+    assert rec["values"]["exact"] == "17/35"
     # the printed ends hold the exact density, one 12th digit apart
     lower, upper = _printed_ends(out)
     assert lower <= Fraction(17, 35) <= upper <= lower + Fraction(1, 10**12)
@@ -205,6 +207,18 @@ def test_multiples_bonferroni(capsys):
     assert upper - lower <= Fraction(1, 6) + Fraction(2, 10**12)
 
 
+def test_multiples_deep_set_exits_0(capsys):
+    """2p over the first 500 odd primes nests the DP's states 500 deep; the
+    line answers exact_ie with (1/2)(1 - prod(1 - 1/p)), not a traceback."""
+    primes = [p for p in range(3, 3582) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    assert len(primes) == 500
+    code, out = run(capsys, "multiples", "--gens", ",".join(str(2 * p) for p in primes))
+    assert code == 0
+    values = json.loads(out)["values"]
+    want = (1 - math.prod(1 - Fraction(1, p) for p in primes)) / 2
+    assert values["method"] == "exact_ie" and Fraction(values["exact"]) == want
+
+
 def test_multiples_sequential(capsys):
     code, out = run(capsys, "multiples", "--gens", "2,3,5", "--density", "seq:2,3,5")
     rec = json.loads(out)
@@ -219,15 +233,41 @@ def test_exp_constants(capsys):
     assert rec["values"]["tag"] == "exact"
 
 
+def _rho1(out):
+    """The printed rho1 record, its ends read exactly as written."""
+    rho = json.loads(out, parse_float=Fraction)["values"]["rho1"]
+    return rho, Fraction(rho["lower"]), Fraction(rho["upper"])
+
+
 def test_exp_eps(capsys):
+    # eps = 1/2 and eps1 = 5/12 on (2, 4]: rho1 = 5/6, printed as exact
     code, out = run(capsys, "exp", "--preset", "eps", "--y", "2", "--z", "4", "--x", "100")
-    rec = json.loads(out)
-    assert rec["values"]["rho1"] == pytest.approx(5 / 6, abs=1e-9)
-    assert rec["values"]["eps"]["method"] == "exact_ie"
+    values = json.loads(out)["values"]
+    assert values["eps"]["method"] == "exact_ie"
+    assert (values["eps"]["exact"], values["eps1"]["exact"]) == ("1/2", "5/12")
+    rho, lower, upper = _rho1(out)
+    assert rho["method"] == "exact_ie" and rho["exact"] == "5/6"
+    assert float(rho["point"]) == pytest.approx(5 / 6, abs=1e-11)
+    assert lower <= Fraction(5, 6) <= upper <= lower + Fraction(1, 10**12)
     code, out = run(capsys, "exp", "--preset", "eps", "--y", "10", "--z", "40")
     assert code == 0
     values = json.loads(out)["values"]
     assert values["eps"]["method"] == values["eps1"]["method"] == "exact_ie"
+    assert values["rho1"]["method"] == "exact_ie"
+
+
+def test_exp_eps_bracket_past_budget(capsys, monkeypatch):
+    """Past the state budget rho1 is a valuation_bracket whose printed ends
+    hold the exact ratio, and no end passes 1."""
+    e, e1, _ = exp.eps_pair(1000, 1024, 10**6)
+    truth = e1.exact / e.exact
+    monkeypatch.setattr(divilab.multiples, "MAX_DP_STATES", 20)
+    code, out = run(capsys, "exp", "--preset", "eps", "--y", "1000", "--z", "1024",
+                    "--x", "10000")
+    assert code == 0
+    rho, lower, upper = _rho1(out)
+    assert rho["method"] == "valuation_bracket" and "exact" not in rho
+    assert lower <= truth <= upper <= 1 and lower < upper
 
 
 def test_exp_dtheta(capsys):

@@ -416,9 +416,15 @@ def test_m_of_y_period_count():
 def test_m_of_y_errors(monkeypatch):
     with pytest.raises(DomainError):
         m_of_y(GeneratorSet([2]), 1)
+    A = GeneratorSet(interval=(1000, 1030))
+    exact = m_of_y(A, 97)
+    assert exact.method == "exact_ie" and exact.params == {"y": 97}
+    # past the state budget: a valuation_bracket that holds the exact value
     monkeypatch.setattr(multiples_mod, "MAX_DP_STATES", 50)
-    with pytest.raises(ResourceError):
-        m_of_y(GeneratorSet(interval=(1000, 1030)), 97)
+    est = m_of_y(A, 97)
+    assert est.method == "valuation_bracket" and est.params == {"y": 97}
+    assert est.exact is None and est.lower < est.upper
+    assert Fraction(est.lower) <= exact.exact <= Fraction(est.upper)
 
 
 def test_behrend_compares_fractions(monkeypatch):

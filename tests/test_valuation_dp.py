@@ -7,12 +7,16 @@ contain the exact values, and so must the float ends of the Bonferroni
 brackets and of the remainders R_n(x).  One test puts every function that
 returns a rigorous estimate, Lambda_kd's exact route among them, against
 these oracles, and so do the exact share of multiples up to x, the float
-log density's rounding bracket and a Monte Carlo run with no hits.
+log density's rounding bracket and a Monte Carlo run with no hits.  On every
+set here, at every budget, the engine's memo and results equal those of the
+recursive DP it replaced, and a set 500 branch levels deep answers under
+Python's default recursion limit.
 """
 
 import decimal
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -40,6 +44,7 @@ from divilab.multiples import (
 )
 
 from oracles import (
+    RecursiveValuationDP,
     naive_ie_sums,
     naive_lambda_kd,
     trial_divisors,
@@ -223,6 +228,20 @@ def test_large_generators_need_no_factorisation():
     assert time.perf_counter() - start < 1.0
 
 
+def test_deep_set_needs_no_recursion_limit():
+    """2p over the first 500 odd primes: the DP branches once per prime, so
+    its states nest 500 deep, past what a recursive DP can reach under the
+    default limit of 1000 frames.  d M = (1/2)(1 - prod(1 - 1/p))."""
+    limit = sys.getrecursionlimit()
+    primes = [p for p in range(3, 3582) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    assert len(primes) == 500
+    want = (1 - math.prod(1 - Fraction(1, p) for p in primes)) / 2
+    for method in ("exact_ie", "auto"):
+        est = density_bracket(GeneratorSet(2 * p for p in primes), method=method)
+        assert est.method == "exact_ie" and est.exact == want, method
+    assert sys.getrecursionlimit() == limit
+
+
 # ---------------------------------------------------------------------------
 # the enclosure past the state budget
 
@@ -289,6 +308,44 @@ def test_enclosure_contains_exact_past_24_generators(monkeypatch, full_budget, b
     for n in EPS_WIDE:
         e, e1, _ = eps_pair(1000, 1000 + n, 10**6)
         assert _encloses(e, dens[n]) and _encloses(e1, ones[n])
+
+
+def _dp_queries():
+    """(generators, the sets asked of one DP over them) for every set above:
+    each small set, then the quotients that divisor_hit_densities asks
+    beside each element; and (1000, 1000 + n] from one DP as full_budget
+    asks them."""
+    _, _, linked = _linked_products()
+    sets = (_random_sets() + _interval_sets() + _antichain_sets() + _exactly_one_sets()
+            + [_semiprimes(), linked, [P61, P89], [P61 * P89, P61 * R17]])
+    out = []
+    for gens in sets:
+        rests = ([b // math.gcd(a, b) for b in gens if b != a] for a in gens)
+        out.append((gens, [gens] + [r for r in rests if 1 not in r]))
+    wide = []
+    for n in reversed(WIDE):
+        A = list(range(1001, 1001 + n))
+        wide.append(A)
+        if n in EPS_WIDE:
+            wide += [[b for b in A if b != a] for a in A]
+    out.append((range(1001, 1001 + max(WIDE)), wide))
+    return out
+
+
+@pytest.mark.parametrize("budget", (multiples.MAX_DP_STATES, *BUDGETS))
+def test_engine_matches_recursive_dp(monkeypatch, budget):
+    """The explicit stack and the incremental reduction change no result:
+    each root (lo, hi, L) and its Fractions, and the memo (its size, and
+    state by state in the order stored) equal those of the recursive DP, so
+    every budget encloses the same states."""
+    monkeypatch.setattr(multiples, "MAX_DP_STATES", budget)
+    for gens, queries in _dp_queries():
+        dp, ref = multiples._ValuationDP(gens), RecursiveValuationDP(gens, budget)
+        for elems in queries:
+            lo, hi, L = ref.root(elems)
+            assert dp._solve(multiples._primitive(elems)) == (lo, hi, L), (gens, elems)
+            assert dp.bounds(elems) == (Fraction(lo, L), Fraction(hi, L))
+        assert list(dp.memo.items()) == list(ref.memo.items()), gens
 
 
 # ---------------------------------------------------------------------------
