@@ -217,7 +217,9 @@ def erdos_kac(x: int, with_multiplicity: bool = False) -> EmpiricalDistribution:
     om = omega_table(x, with_multiplicity=with_multiplicity)
     llx = math.log(math.log(x))
     s = math.sqrt(llx)
-    counts = np.bincount(om[3:])
+    counts = np.zeros(int(om[3:].max()) + 1, dtype=np.int64)
+    for lo, hi in _windows(3, x + 1):  # bincount copies its input to intp
+        counts += np.bincount(om[lo:hi], minlength=len(counts))
     tot = counts.sum()
     zvals = (np.arange(len(counts)) - llx) / s
     weights = counts / tot
@@ -439,12 +441,15 @@ def dtheta_exponent_stats(lo: int, hi: int, theta) -> tuple[float, float]:
         best = np.minimum.reduceat(np.minimum(fr, 1.0 - fr), starts)
         tau = np.diff(starts, append=len(d))
         keep = (tau >= 2) & (best > 0.0)
-        # math.log, as the per-n scans take it, so the values match them bit for bit
-        vals += map(operator.truediv, map(math.log, (1.0 / best[keep]).tolist()),
-                    map(math.log, tau[keep].tolist()))
-    if not vals:
+        # math.log, as the per-n scans take it, so the values match them bit for
+        # bit; each window's values go straight into an array, as a list of
+        # Python floats over the range left the heap holding megabytes after it
+        vals.append(np.fromiter(map(operator.truediv, map(math.log, (1.0 / best[keep]).tolist()),
+                                    map(math.log, tau[keep].tolist())),
+                                np.float64, int(np.count_nonzero(keep))))
+    arr = np.sort(np.concatenate(vals))
+    if not len(arr):
         raise DomainError("no usable integers in range")
-    arr = np.sort(np.asarray(vals))
     return float(arr[len(arr) // 2]), float(arr.mean())
 
 

@@ -1,17 +1,16 @@
-"""Smallest-prime-factor sieve, segmented sieving, primality testing, and the
-sieve cache file.
+"""Smallest-prime-factor sieve, the descending-prime chunk walk, primality
+testing, and the sieve cache file.
 
 The SPF table gives O(log n) factorization of every n <= limit.
-`arith.factor`, the whole-range prime-factor tables (`tables.omega_table`,
-`tables.gpf_table`) and the `sieve` command read it; the divisor scans and
-`fn` do not.  It is
-immutable after construction and safe for concurrent reads.
+`arith.factor` and the `sieve` command read it; the divisor scans, `fn` and
+the whole-range prime-factor tables (`tables.omega_table`,
+`tables.gpf_table`) do not.  It is immutable after construction and safe
+for concurrent reads.
 
-`SpfSieve.build` walks [2, limit] with `segments(lo, hi)`, the segmented
-sieve of Bays and Hudson (BIT 17, 1977): it hands each segment [a, b) of at
-most _BUILD_SEGMENT integers the primes p <= sqrt(b - 1) that have a
-multiple >= p in it, with the offset of the first one, so the build strides
-through one cache-sized segment at a time.
+`prime_runs(x, itemsize)` is the segmented sieve of Bays and Hudson (BIT
+17, 1977) recast as runs of multiples p m whose cofactors m lie in earlier
+chunks: `SpfSieve.build` and the prime-factor tables fill themselves from
+it with one strided write per prime and chunk.
 """
 
 from __future__ import annotations
@@ -26,10 +25,13 @@ import numpy as np
 
 from .errors import DEFAULT_LIMIT_CAP, DomainError, ResourceError
 
-# Integers per segment of `segments`.  Each segment costs one strided write
-# per sieving prime: the SPF build at 1e7 took 0.20-0.25 s with 2^14, 0.09 s
-# with 2^18 and 0.11 s with 2^20 (2-vCPU VM, Python 3.11, numpy 2.4).
-_BUILD_SEGMENT = 1 << 18
+# Bytes of table per chunk of `prime_runs`: 2^18 uint32 or 2^20 uint8
+# entries.  Each chunk costs one strided write per prime up to its square
+# root.  At 1e7, budgets of 256 KB / 512 KB / 1 MB / 2 MB / 4 MB took
+# 38.2 / 28.4 / 23.0 / 24.2 / 26.8 ms (omega), 60.5 / 43.9 / 34.4 / 35.9 /
+# 43.3 ms (P^+) and 36.3 / 30.5 / 26.4 / 26.1 / 37.8 ms (SPF build), median
+# of 5 calls (2-vCPU VM, Python 3.11, numpy 2.4).
+_CHUNK_BYTES = 1 << 20
 
 # glibc keeps up to 64 MB of freed heap resident (twice its dynamic mmap
 # threshold), so without a trim a table's peak stacks on whatever earlier
@@ -93,25 +95,28 @@ def _trim_heap() -> None:
         _malloc_trim(0)
 
 
-def segments(lo: int, hi: int):
-    """Walk [lo, hi] (lo >= 1) in segments [a, b) of at most _BUILD_SEGMENT
-    integers, aligned to its multiples.
+def prime_runs(x: int, itemsize: int):
+    """The runs of multiples that fill a table on 2..x, chunk by chunk.
 
-    Yields (a, b, ps, starts): ps holds, ascending, the primes p <= sqrt(b - 1)
-    with a multiple m >= max(a, p) below b, and starts[i] = m - a for the
-    first such multiple of ps[i].  So every n in [a, b) is hit by each of its
-    prime factors p <= sqrt(b - 1), and what is left of n once they are
-    divided out is 1 or a single prime.
+    Walks n = 2..x in ascending chunks [lo, hi) of at most
+    _CHUNK_BYTES // itemsize integers, with hi <= 2 lo, and yields (p, m0,
+    m1) for each prime p <= sqrt(hi - 1) with a multiple in the chunk, p
+    descending within a chunk, where p m0 .. p m1 are those multiples.
+    Since p >= 2, m1 <= (hi - 1)/2 < lo: a table filled as
+    t[p m] = f(t[m], p) reads only entries of earlier chunks.  The smallest
+    prime factor of every composite n is among the p of its chunk, and its
+    run comes last; no prime n is in a run, as p <= sqrt(hi - 1) < lo.
     """
-    primes = primes_upto(math.isqrt(hi))
-    a = lo
-    while a <= hi:
-        b = min((a // _BUILD_SEGMENT + 1) * _BUILD_SEGMENT, hi + 1)
-        ps = primes[: np.searchsorted(primes, math.isqrt(b - 1), side="right")]
-        starts = np.maximum(ps, a + (-a) % ps) - a
-        keep = starts < b - a
-        yield a, b, ps[keep], starts[keep]
-        a = b
+    step = max(_CHUNK_BYTES // itemsize, 1)
+    primes = primes_upto(math.isqrt(x))
+    lo = 2
+    while lo <= x:
+        hi = min(2 * lo, lo + step, x + 1)
+        ps = primes[:np.searchsorted(primes, math.isqrt(hi - 1), side="right")][::-1]
+        m0, m1 = -(-lo // ps), (hi - 1) // ps
+        keep = m0 <= m1
+        yield from zip(ps[keep].tolist(), m0[keep].tolist(), m1[keep].tolist())
+        lo = hi
 
 
 class SpfSieve:
@@ -135,15 +140,10 @@ class SpfSieve:
             raise ResourceError(f"sieve limit {limit} exceeds cap {DEFAULT_LIMIT_CAP}")
         _trim_heap()  # the build's peak is then its own, not earlier calls' garbage
         dtype = np.uint32 if limit < 1 << 32 else np.uint64
-        spf = np.zeros(limit + 1, dtype=dtype)
-        for a, b, ps, starts in segments(2, limit):
-            seg = spf[a:b]
-            # largest prime first, so each entry ends up holding its smallest
-            for p, s in zip(ps[::-1].tolist(), starts[::-1].tolist()):
-                seg[s::p] = p
-            rest = np.flatnonzero(seg == 0)
-            seg[rest] = rest + a  # no prime <= sqrt hit these: they are prime
-        del seg, rest
+        spf = np.arange(limit + 1, dtype=dtype)  # primes keep their own
+        spf[:2] = 0
+        for p, m0, m1 in prime_runs(limit, spf.itemsize):  # the smallest p writes last
+            spf[p * m0:p * m1 + 1:p] = p
         _trim_heap()  # and the caller's scan starts from the table alone
         return cls(limit, spf)
 

@@ -1,10 +1,11 @@
 """Vectorized whole-range tables for counting scans up to ~10^8.
 
-Prime-factor tables (omega, Omega, P^+) are derived from the SPF sieve by
-one recurrence: `_spf_walk` visits n = 2..x in ascending chunks below 2*lo,
-so the cofactor m = n/spf[n] < lo of every n in a chunk is already finished,
-and each table fills a whole chunk with one numpy expression in t[m], spf[n]
-and spf[m].
+Prime-factor tables (omega, Omega, P^+) need no SPF array: they walk
+n = 2..x with `sieve.prime_runs`, which hands each chunk [lo, hi) its
+primes p <= sqrt(hi - 1), largest first, with their cofactors m < lo.  Each
+prime fills its multiples p m from the finished t[m] in one strided write.
+The recurrences hold for every prime p | n, so whichever write to n comes
+last is right; primes keep their initial value.
 
 Single counts up to x (`arith.psi1_count`,
 `experiments.omega_median_count`) need no table: they come from recurrences
@@ -37,7 +38,7 @@ import numpy as np
 
 from .arith import DivisorSpectrum
 from .errors import DEFAULT_SCAN_CAP, DomainError, ResourceError
-from .sieve import SpfSieve, primes_upto
+from .sieve import prime_runs, primes_upto
 
 # Entries per window of `_windows`; 2^20 uint16 tau entries fill a 2 MB L2.  At
 # 1e7, windows of 2^18 / 2^19 / 2^20 took 150 / 105 / 93 ms (tau table), 25.7 /
@@ -57,19 +58,6 @@ def _check_cap(x: int) -> None:
         raise DomainError(f"need x >= 1, got {x}")
     if x > DEFAULT_SCAN_CAP:
         raise ResourceError(f"scan size {x} exceeds cap {DEFAULT_SCAN_CAP}")
-
-
-def _spf_walk(x: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield (lo, hi, p, m, spf) over n = 2..x in ascending chunks [lo, hi),
-    with p = spf[lo:hi] and m = n // p.  Since hi <= 2*lo, m <= n/2 < lo: a
-    table filled as t[lo:hi] = f(t[m], p, spf[m]) reads only finished entries."""
-    spf = SpfSieve.build(max(x, 2)).spf
-    lo = 2
-    while lo <= x:
-        hi = min(2 * lo, lo + _WINDOW, x + 1)
-        p = spf[lo:hi]
-        yield lo, hi, p, np.arange(lo, hi, dtype=p.dtype) // p, spf
-        lo = hi
 
 
 def _quotients(x: int):
@@ -244,20 +232,28 @@ def _divisor_spectra(lo: int, hi: int) -> Iterator[DivisorSpectrum]:
 
 
 def gpf_table(x: int) -> np.ndarray:
-    """Largest prime factor of 0..x (gpf[1] = 1 by convention)."""
+    """Largest prime factor of 0..x (gpf[1] = 1 by convention), from
+    P^+(p m) = max(P^+(m), p) for every prime p."""
     _check_cap(x)
-    gpf = np.ones(x + 1, dtype=np.int64 if x >= 1 << 31 else np.int32)
-    for lo, hi, p, m, _ in _spf_walk(x):
-        gpf[lo:hi] = np.maximum(gpf[m], p)
+    gpf = np.arange(x + 1, dtype=np.int64 if x >= 1 << 31 else np.int32)
+    gpf[0] = 1
+    for p, m0, m1 in prime_runs(x, gpf.itemsize):
+        np.maximum(gpf[m0:m1 + 1], p, out=gpf[p * m0:p * m1 + 1:p])
     return gpf
 
 
 def omega_table(x: int, with_multiplicity: bool = False) -> np.ndarray:
-    """omega(n) (distinct primes) or Omega(n) (with multiplicity) for 0..x."""
+    """omega(n) (distinct primes) or Omega(n) (with multiplicity) for 0..x,
+    from Omega(p m) = Omega(m) + 1 and omega(p m) = omega(m) + 1 - [p | m]
+    for every prime p."""
     _check_cap(x)
-    om = np.zeros(x + 1, dtype=np.uint8)
-    for lo, hi, p, m, spf in _spf_walk(x):
-        om[lo:hi] = om[m] + 1 if with_multiplicity else om[m] + (spf[m] != p)
+    om = np.ones(x + 1, dtype=np.uint8)
+    om[:2] = 0
+    for p, m0, m1 in prime_runs(x, om.itemsize):
+        run = om[p * m0:p * m1 + 1:p]
+        np.add(om[m0:m1 + 1], 1, out=run)
+        if not with_multiplicity:
+            run[-m0 % p::p] -= 1  # the n = p m with p | m
     return om
 
 

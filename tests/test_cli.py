@@ -449,7 +449,8 @@ def test_lambda_row_csv_fixed(capsys):
 
 def test_fn_above_cap_exits_3(capsys, monkeypatch):
     # refused before any window is walked, n trial-divided or sieve built
-    monkeypatch.setattr("divilab.sieve.segments", None)
+    monkeypatch.setattr("divilab.sieve.prime_runs", None)
+    monkeypatch.setattr("divilab.tables.prime_runs", None)
     monkeypatch.setattr("divilab.tables._pairs", None)
     monkeypatch.setattr("divilab.cli.factor_int", None)
     monkeypatch.setattr(SpfSieve, "build", None)
@@ -477,7 +478,8 @@ def test_queries_touch_no_sieve(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(SpfSieve, "build", refuse)
     monkeypatch.setattr(SpfSieve, "load", refuse)
-    monkeypatch.setattr("divilab.sieve.segments", None)
+    monkeypatch.setattr("divilab.sieve.prime_runs", None)
+    monkeypatch.setattr("divilab.tables.prime_runs", None)
     code, out = run(capsys, "fn", "--n", "39500001", "--what", "tauplus")
     assert (code, out) == (0, "n,value\n39500001,23\n")
     code, out = run(capsys, "fn", "--range", "1990:2010", "--what", "delta")
@@ -486,6 +488,21 @@ def test_queries_touch_no_sieve(tmp_path, monkeypatch, capsys):
     code, out = run(capsys, "exp", "--preset", "dtheta", "--n", "720720")
     assert code == 0 and json.loads(out)["values"]["n"] == 720720
     assert (cache.read_bytes(), cache.stat().st_mtime_ns) == before
+
+
+def test_prime_factor_scans_touch_no_sieve(monkeypatch, capsys):
+    """omega, Omega and P^+ come from the prime runs alone: `erdos_kac`,
+    `pplus_adjacency` and the erdos-kac preset build and load no SPF table."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an SPF table was built or loaded")
+
+    monkeypatch.setattr(SpfSieve, "build", refuse)
+    monkeypatch.setattr(SpfSieve, "load", refuse)
+    assert exp.erdos_kac(5000).samples == 4998
+    assert exp.erdos_kac(5000, with_multiplicity=True).samples == 4998
+    assert exp.pplus_adjacency(5000).x == 5000
+    code, out = run(capsys, "exp", "--preset", "erdos-kac", "--x", "5000", "--format", "json")
+    assert code == 0 and json.loads(out)["values"]["samples"] == 4998
 
 
 def test_output_file(tmp_path, capsys):

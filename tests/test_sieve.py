@@ -8,7 +8,7 @@ import pytest
 
 import divilab.sieve as sieve_mod
 from divilab import DomainError, ResourceError, SpfSieve, build_sieve, is_prime_u64
-from divilab.sieve import _BUILD_SEGMENT, primes_upto
+from divilab.sieve import _CHUNK_BYTES, primes_upto
 
 from oracles import eratosthenes_primes, spf_table, trial_factor
 
@@ -193,21 +193,27 @@ def _same(got, want):
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("limit", [2, 3, 4, 5, 1000, _BUILD_SEGMENT - 1, _BUILD_SEGMENT,
-                                   _BUILD_SEGMENT + 1, 2 * _BUILD_SEGMENT + 7, 10**6 + 7])
+CHUNK = _CHUNK_BYTES // 4  # uint32 entries per chunk of `prime_runs`
+
+
+@pytest.mark.parametrize("limit", [2, 3, 4, 5, 1000, CHUNK - 1, CHUNK,
+                                   CHUNK + 1, 2 * CHUNK + 7, 10**6 + 7])
 def test_build_matches_unsegmented_oracle(limit):
     _same(SpfSieve.build(limit).spf, spf_table(limit))
 
 
+# Chunks double from [2, 4) until they reach `segment` entries, then advance
+# by it.
 @pytest.mark.parametrize("segment,limit", [
-    (7, 50),       # 49 = 7^2 opens the segment [49, 56)
-    (49, 1000),    # 49 opens [49, 98); 2 starts mid-segment
-    (50, 1000),    # 49 ends the first segment [2, 50)
-    (11, 121),     # 121 = 11^2 = limit opens the last segment
-    (11, 122),
-    (64, 10007),
+    (7, 50),       # 49 = 7^2 ends [43, 50), the first chunk 7 sieves
+    (49, 1000),    # 121 = 11^2 is in [113, 162), the first chunk 11 sieves
+    (50, 1000),    # 961 = 31^2 is in [914, 964), next to the short [964, 1001)
+    (11, 121),     # 121 = 11^2 = limit ends the short chunk [115, 122)
+    (11, 122),     # and 122 = 2 * 61 is hit by 2 only, after 11
+    (64, 10007),   # 10007 is prime, past every run of [9984, 10008)
     (1000, 10**5 + 3),
+    (1, 200),      # one integer per chunk from 2 on
 ])
 def test_build_tiny_segments(segment, limit, monkeypatch):
-    monkeypatch.setattr(sieve_mod, "_BUILD_SEGMENT", segment)
+    monkeypatch.setattr(sieve_mod, "_CHUNK_BYTES", 4 * segment)
     _same(SpfSieve.build(limit).spf, spf_table(limit))

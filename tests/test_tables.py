@@ -1,5 +1,5 @@
-"""The SPF-derived tables and the quotient-recurrence counts against the
-per-prime strided sieves they replaced,
+"""The prime-factor tables and the quotient-recurrence counts against the
+per-prime strided sieves they replaced, also at tiny chunk sizes,
 the tau^+ bitmask kernel against the per-cell builder it replaced, the
 windowed tau table, interval count and nu_distribution against the
 whole-array scans they replaced, the pair walker, the divisor-pair
@@ -7,11 +7,11 @@ kernel, the per-n divisor spectra cut from it and the multiples mask
 against trial division and trial marking,
 and the peak memory of the window scans.
 
-The listed sizes straddle the chunk and window boundaries: the SPF walk's
-chunks double up to 2**20 cells and then advance by 2**20, and the windows
-of `_windows` advance by 2**20 from 1, so x = 2**20 - 1, 2**20 + 3,
-2**21 + 3 and 3 * 2**20 + 7 end inside the first capped chunks and on
-either side of a window's end.
+The listed sizes straddle the chunk and window boundaries: the chunks of
+`sieve.prime_runs` double up to 1 MB of table (2**20 uint8 or 2**18 int32
+cells) and then advance by it, and the windows of `_windows` advance by
+2**20 from 1, so x = 2**20 - 1, 2**20 + 3, 2**21 + 3 and 3 * 2**20 + 7 end
+inside capped chunks and on either side of a window's end.
 """
 
 import math
@@ -24,6 +24,7 @@ import pytest
 from divilab import DomainError, ResourceError, psi1_count
 from divilab.errors import DEFAULT_SCAN_CAP
 from divilab.experiments import h_count, nu_distribution, omega_median_count
+import divilab.sieve as sieve_mod
 from divilab.sieve import SpfSieve
 import divilab.tables as tables_mod
 from divilab.tables import (
@@ -83,6 +84,19 @@ def test_omega_tables_match_oracle(oracle_tables, x):
 @pytest.mark.parametrize("x", XS)
 def test_gpf_table_matches_oracle(oracle_tables, x):
     _same(gpf_table(x), oracle_tables["gpf"][:x + 1])
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 4, 7, 44, 200])
+def test_prime_factor_tables_tiny_chunks(oracle_tables, chunk_bytes, monkeypatch):
+    # chunks of chunk_bytes uint8 cells for omega and Omega and of
+    # chunk_bytes // 4 (at least 1) int32 cells for P^+: every x up to 130
+    # ends a chunk of each, and 49, 121 = 11^2 and 122 open, end or follow
+    # one where a prime first sieves its square
+    monkeypatch.setattr(sieve_mod, "_CHUNK_BYTES", chunk_bytes)
+    for x in (*range(1, 131), 1000, 1031):
+        _same(omega_table(x), oracle_tables["omega"][:x + 1])
+        _same(omega_table(x, with_multiplicity=True), oracle_tables["Omega"][:x + 1])
+        _same(gpf_table(x), oracle_tables["gpf"][:x + 1])
 
 
 @pytest.mark.parametrize("x", sorted({*range(1, 65), 97, 4095, 4096, 4097, 10**5, *XS}))
