@@ -25,6 +25,7 @@ when called.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -283,11 +284,18 @@ def unimodal_check(p: int) -> bool:
 # ---------------------------------------------------------------------------
 # local law of the k-th divisor
 
+def _divisor_gens(d: int) -> list[int]:
+    """The q_m = m / gcd(m, d) of the m < d not dividing d: for d | n, such
+    an m divides n = d r exactly when q_m divides r.  The m <= d left out
+    divide d, so tau(d) = d - len(_divisor_gens(d))."""
+    return [m // math.gcd(m, d) for m in range(2, d) if d % m]
+
+
 def _exact_gens(k: int, d: int, method: str | None) -> list[int] | None:
-    """The q_m = m / gcd(m, d) of the m < d not dividing d when Lambda_kd at d
-    is exact, None when it is Monte Carlo: exact by default while their lcm
-    DP fits its cap.  Past it "exact" raises ResourceError, as does d > 10000;
-    k < 1 or d < 1 raises DomainError first."""
+    """`_divisor_gens(d)` when Lambda_kd at d is exact, None when it is Monte
+    Carlo: exact by default while their lcm DP fits its cap.  Past it
+    "exact" raises ResourceError, as does d > 10000; k < 1 or d < 1 raises
+    DomainError first."""
     if k < 1 or d < 1:
         raise DomainError(f"need k >= 1 and d >= 1, got k={k}, d={d}")
     if method not in (None, "exact", "mc"):
@@ -296,7 +304,7 @@ def _exact_gens(k: int, d: int, method: str | None) -> list[int] | None:
         raise ResourceError(f"Lambda_kd's cost grows with d; d={d} > 10000")
     if method == "mc":
         return None
-    gens = [m // math.gcd(m, d) for m in range(2, d) if d % m]
+    gens = _divisor_gens(d)
     try:
         _check_lcm_work(gens, len(gens))
     except ResourceError:
@@ -304,6 +312,20 @@ def _exact_gens(k: int, d: int, method: str | None) -> list[int] | None:
             raise
         return None
     return gens
+
+
+def _dividing_counts(r: np.ndarray, gens: list[int]) -> np.ndarray:
+    """#{q in gens: q | r} at each entry of r, with multiplicity: one
+    remainder per distinct q, weighted by the number of times q occurs."""
+    import numpy as np
+
+    cnt = np.zeros(len(r), dtype=np.int64)
+    for q, times in Counter(gens).items():
+        cnt += times * (r % q == 0)
+    return cnt
+
+
+_MAX_N = (1 << 63) - 1  # the Monte Carlo n are uniform on [1, _MAX_N]
 
 
 def Lambda_kd(
@@ -326,10 +348,21 @@ def Lambda_kd(
     That is the exact route (tag exact_period) while the DP fits
     multiples.MAX_LCM_VISITS, so for d <= 30 and d = 32; past it the default
     is Monte Carlo with a Wilson 95% bracket.  Positivity: tau(d) <= k <= d.
+
+    Monte Carlo estimates the share of `samples` n uniform on [1, M],
+    M = 2^63 - 1, whose k-th divisor is d, but draws only the n that d
+    divides: their number is one Binomial(samples, floor(M/d) / M) draw,
+    and each is n = d r with r uniform on [1, floor(M/d)], a hit when
+    exactly k - tau(d) of the q_m divide r.  Both draws come from one
+    Philox(seed) stream, r in chunks of 2^16, and no r is drawn when
+    k - tau(d) lies outside [0, #q_m].  The same seed gives the same
+    estimate; seed < 0 raises DomainError before any work.
     """
+    if seed is not None and seed < 0:
+        raise DomainError(f"need seed >= 0, got {seed}")
     gens = _exact_gens(k, d, method)
     if gens is not None:
-        i = k - (d - len(gens))  # k - tau(d): the m <= d left out of gens divide d
+        i = k - (d - len(gens))  # k - tau(d)
         p = 0
         if 0 <= i <= len(gens):
             S = _bonferroni_sums(gens, len(gens))
@@ -342,15 +375,16 @@ def Lambda_kd(
         raise DomainError(f"need samples >= 1, got {samples}")
     import numpy as np
 
-    rng = np.random.Generator(np.random.Philox(seed))
+    gens = _divisor_gens(d)
+    i = k - (d - len(gens))  # k - tau(d)
     hits = 0
-    for start in range(0, samples, 1 << 16):
-        n = rng.integers(1, 1 << 63, size=min(1 << 16, samples - start), dtype=np.int64)
-        nd = n[n % d == 0]
-        cnt = np.full(len(nd), 2 if d > 1 else 1, dtype=np.int64)
-        for m in range(2, d):
-            cnt += nd % m == 0
-        hits += int(np.count_nonzero(cnt == k))
+    if 0 <= i <= len(gens):
+        rng = np.random.Generator(np.random.Philox(seed))
+        top = _MAX_N // d
+        drawn = int(rng.binomial(samples, top / _MAX_N))
+        for start in range(0, drawn, 1 << 16):
+            r = rng.integers(1, top + 1, size=min(1 << 16, drawn - start), dtype=np.int64)
+            hits += int(np.count_nonzero(_dividing_counts(r, gens) == i))
     phat = hits / samples
     z = 1.959963984540054
     denom = 1.0 + z * z / samples

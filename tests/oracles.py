@@ -9,10 +9,11 @@ per-cell tau^+ builder that the divisor bitmask replaced, the whole-array
 tau table, interval mask and nu_distribution that the window walk replaced,
 the full Eratosthenes sieve that the odds-only one replaced, the unsegmented
 SPF sieve, the subset-walk Bonferroni bracket, the per-prime local-law e_j
-sweep that the column-wise DP replaced, the truncated friable sum with
-its Rankin tail that m(y) came from, and the recursive valuation DP that
-reduced each branch level's whole state, which the explicit-stack engine
-replaced.  Slow on purpose.
+sweep that the column-wise DP replaced, the k-th-divisor Monte Carlo
+sampler over all n that drawing only the multiples of d replaced, the
+truncated friable sum with its Rankin tail that m(y) came from, and the
+recursive valuation DP that reduced each branch level's whole state, which
+the explicit-stack engine replaced.  Slow on purpose.
 """
 
 import math
@@ -365,6 +366,23 @@ def naive_lambda_kd(k, d):
         if below == k - 1:
             cnt += 1
     return Fraction(cnt, L)
+
+
+def uniform_lambda_kd_mc(k, d, samples, seed):
+    """Monte Carlo share of the n uniform on [1, 2^63 - 1] whose k-th
+    divisor is d: draws every n, keeps those d divides and counts their
+    divisors up to d one m at a time (the sampler that drawing only the
+    multiples of d replaced)."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    hits = 0
+    for start in range(0, samples, 1 << 16):
+        n = rng.integers(1, 1 << 63, size=min(1 << 16, samples - start), dtype=np.int64)
+        nd = n[n % d == 0]
+        cnt = np.full(len(nd), 2 if d > 1 else 1, dtype=np.int64)
+        for m in range(2, d):
+            cnt += nd % m == 0
+        hits += int(np.count_nonzero(cnt == k))
+    return hits / samples
 
 
 def s_coeffs_exact(p, kmax):

@@ -553,6 +553,16 @@ def test_manifest_partial_failure(tmp_path, capsys):
     assert json.loads(lines[1])["error"] == "DomainError"
 
 
+def test_manifest_negative_seed_goes_on(tmp_path, capsys):
+    mf = tmp_path / "seed.manifest"
+    mf.write_text("lambdad --k 5 --d 21 --method mc --seed -1\nlambdad --k 3 --d 4\n")
+    code, out = run(capsys, "manifest", str(mf))
+    assert code == 1
+    lines = [json.loads(line) for line in out.strip().splitlines()]
+    assert [rec.get("error") for rec in lines] == ["DomainError", None]
+    assert lines[1]["values"]["exact"] == "1/6"
+
+
 def test_manifest_streams_records(tmp_path, monkeypatch, capsys):
     from divilab import cli
 
@@ -610,6 +620,7 @@ def test_bad_counts_exit_codes(tmp_path, capsys):
         (("exp", "--preset", "tsum", "--x", "100", "--config", str(cfg)), 64),
         (("lambdad", "--k", "5", "--d", "21", "--method", "mc", "--samples", "0",
           "--seed", "1"), 2),
+        (("lambdad", "--k", "5", "--d", "21", "--method", "mc", "--seed", "-1"), 2),
         # a missing seed is a usage error on the default route past the exact cap too
         (("lambdad", "--k", "5", "--d", "31"), 64),
         (("lambdad", "--k", "5", "--d", "31", "--method", "mc"), 64),

@@ -25,7 +25,10 @@ from divilab import multiples as multiples_mod
 from divilab.locallaws import (
     LocalLawRow,
     MedianResult,
+    _MAX_N,
     _columns,
+    _dividing_counts,
+    _divisor_gens,
     _exact_cum_is_half,
     _unimodal,
 )
@@ -37,6 +40,8 @@ from oracles import (
     row_sweep,
     s_coeffs_exact,
     simpson_normal_cdf,
+    trial_divisors,
+    uniform_lambda_kd_mc,
 )
 
 
@@ -270,12 +275,48 @@ def test_Lambda_route_floor_skips_coprime_base(monkeypatch):
 
 
 def test_Lambda_monte_carlo_brackets_exact_past_d20():
-    # 95% Wilson brackets at two of the likeliest k of each row
-    for d, ks in ((21, (4, 5)), (25, (3, 5)), (30, (11, 8))):
-        for k in ks:
-            exact = Lambda_kd(k, d).exact
-            est = Lambda_kd(k, d, method="mc", samples=150_000, seed=1)
-            assert est.lower <= exact <= est.upper, (k, d)
+    # 95% Wilson brackets at two of the likeliest k of each row.  One misses
+    # 1 time in 20, so gate the miss rate over 200 seeds, not one seed:
+    # P(Bin(200, 0.05) > 27) < 1e-6
+    for k, d in ((4, 21), (5, 21), (3, 25), (5, 25), (11, 30), (8, 30)):
+        exact = Lambda_kd(k, d).exact
+        misses = 0
+        for seed in range(200):
+            est = Lambda_kd(k, d, method="mc", samples=150_000, seed=seed)
+            misses += not est.lower <= exact <= est.upper
+        assert misses <= 27, (k, d, misses)
+
+
+def test_dividing_counts_match_trial_divisors():
+    # tau(d) + #{q_m | r} is the number of divisors of d r up to d; near
+    # floor(_MAX_N / d) the divisors up to d are counted one m at a time, as
+    # trial_divisors(d r) would trial-divide up to 3e9
+    for d in range(1, 41):
+        gens = _divisor_gens(d)
+        tau = sum(1 for m in range(1, d + 1) if d % m == 0)
+        assert tau == d - len(gens), d
+        top = _MAX_N // d
+        small = list(range(1, 2000))
+        large = list(range(top - 1000, top + 1))
+        got = _dividing_counts(np.array(small + large, dtype=np.int64), gens).tolist()
+        for r, cnt in zip(small, got):
+            want = sum(1 for m in trial_divisors(d * r) if m <= d)
+            assert tau + cnt == want, (d, r)
+        for r, cnt in zip(large, got[len(small):]):
+            want = sum(1 for m in range(1, d + 1) if d * r % m == 0)
+            assert tau + cnt == want, (d, r)
+
+
+def test_Lambda_mc_samplers_agree_with_exact():
+    # both samplers, the multiples of d and every n, average over 100 seeds
+    # to within 5 standard errors of the exact Lambda_5(21)
+    exact = float(Lambda_kd(5, 21).exact)
+    samples, seeds = 50_000, range(100)
+    se = math.sqrt(exact * (1 - exact) / (samples * len(seeds)))
+    multiples = [Lambda_kd(5, 21, method="mc", samples=samples, seed=s).point for s in seeds]
+    uniform = [uniform_lambda_kd_mc(5, 21, samples, s) for s in seeds]
+    for name, points in (("multiples", multiples), ("uniform", uniform)):
+        assert abs(sum(points) / len(points) - exact) <= 5 * se, name
 
 
 def test_Lambda_monte_carlo_brackets_exact():
@@ -304,6 +345,16 @@ def test_Lambda_mc_needs_samples():
     for samples in (0, -5):
         with pytest.raises(DomainError):
             Lambda_kd(5, 30, method="mc", samples=samples, seed=1)
+
+
+def test_Lambda_negative_seed_is_a_domain_error(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work started before the seed check")
+
+    monkeypatch.setattr(locallaws, "_exact_gens", no_work)
+    for method in (None, "exact", "mc"):
+        with pytest.raises(DomainError, match="seed"):
+            Lambda_kd(5, 21, method=method, seed=-1)
 
 
 def test_Lambda_mc_deterministic():
