@@ -242,7 +242,7 @@ def _csv(rows: Iterable[tuple], header: tuple[str, ...]) -> Iterator[str]:
 # be an iterator that fills the record's counts as it is read
 
 def _run_sieve(args, cfg):
-    from .sieve import SpfSieve, build_sieve
+    from .sieve import SpfSieve, build_sieve, primes_upto
 
     cache = cfg.cache_path
     sv = SpfSieve.load(cache) if cache and Path(cache).exists() else None
@@ -252,7 +252,7 @@ def _run_sieve(args, cfg):
             sv.save(cache)  # atomic: replaces a missing or too-small cache
     # so with a cache path set, the file now covers the limit
     rec = ResultRecord("sieve", {"limit": args.limit},
-                       {"limit": sv.limit, "primes": int(len(sv.primes())),
+                       {"limit": sv.limit, "primes": len(primes_upto(sv.limit)),
                         "cached": bool(cache), "tag": "exact"})
     return rec, None
 
@@ -326,7 +326,7 @@ def _run_lambda(args, cfg):
     from .locallaws import lambda_mode, lambda_row, median_prime_detail
 
     if args.mode:
-        if not args.p:
+        if args.p is None:
             raise UsageError("--mode needs --p")
         k_star, lam = lambda_mode(args.p)
         rec = ResultRecord("lambda", {"mode": True, "p": args.p},
@@ -436,7 +436,7 @@ def _run_exp(args, cfg):
 
     preset = args.preset
     if preset == "median-primes":
-        ks = _numbers(args.k or "2,3")
+        ks = _numbers("2,3" if args.k is None else args.k)
         vals = {}
         for k in ks:
             det = median_prime_detail(k)
@@ -469,7 +469,7 @@ def _run_exp(args, cfg):
         rows = [(g, c) for g, c in zip(dist.grid, dist.cdf) if c > 0]
         return rec, (("grid", "value"), rows)
     if preset == "constants":
-        table = exp.constant_table().as_dict()
+        table = exp.constant_table()
         table["tag"] = "exact"
         return ResultRecord("exp", {"preset": preset}, table), None
     if preset == "tsum":
@@ -477,7 +477,7 @@ def _run_exp(args, cfg):
         return ResultRecord("exp", {"preset": preset, "x": args.x},
                             {"direct": direct, "dyadic": dyadic, "tag": "exact"}), None
     if preset == "eps":
-        if not args.y or not args.z:
+        if args.y is None or args.z is None:
             raise UsageError("eps preset needs --y and --z")
         e, e1, _ = exp.eps_pair(args.y, args.z, args.x)
         if e.exact is not None and e1.exact is not None:

@@ -18,7 +18,7 @@ import numpy as np
 from .density import DensityEstimate
 from .divgeom import _below_e
 from .errors import DomainError, ResourceError
-from .locallaws import gaussian_cdf
+from .locallaws import MERTENS_A, PRIME_ZETA_SUM, gaussian_cdf
 from .multiples import GeneratorSet, _bracket_estimate, alpha0, divisor_hit_densities
 from .sieve import primes_upto
 from .tables import (
@@ -37,16 +37,6 @@ from .tables import (
 )
 
 LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class BracketedValue:
-    point: float
-    lower: float
-    upper: float
-
-    def as_record(self) -> dict:
-        return {"point": self.point, "lower": self.lower, "upper": self.upper}
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +316,8 @@ def omega_median_count(x: int) -> OmegaMedianResult:
     sieve on the quotients x // i (`tables._prime_pi`), in O(sqrt(x)) memory.
 
     The source's printed constant (0.36798) does not match a direct reading
-    of its defining formula (about -1.178); both are reported, nothing is
+    of its defining formula, A - 2/3 - sum_p 1/(p(p-1)) = -1.178326...,
+    taken from MERTENS_A and PRIME_ZETA_SUM; both are reported, nothing is
     asserted.
     """
     if x < 3:
@@ -344,9 +335,7 @@ def omega_median_count(x: int) -> OmegaMedianResult:
         ps = primes_upto(math.isqrt(x))
         count += int(np.sum(pi[index(x // ps)] - pi[ps - 1] + 1))  # V[p - 1] = p
     gap = (count - x / 2) * math.sqrt(2 * math.pi * llx) / x + (llx - math.floor(llx))
-    pr = primes_upto(10**6).astype(np.float64)  # mertens_A's default limit
-    s = float(np.sum(1.0 / (pr * (pr - 1.0))))
-    return OmegaMedianResult(x, count, gap, 0.36798, _mertens_point(pr) - 2.0 / 3.0 - s)
+    return OmegaMedianResult(x, count, gap, 0.36798, MERTENS_A - 2.0 / 3.0 - PRIME_ZETA_SUM)
 
 
 def totient_values(x: int) -> int:
@@ -482,24 +471,6 @@ def exceptional_count(x: int) -> int:
 # ---------------------------------------------------------------------------
 # named constants
 
-EULER_GAMMA = 0.5772156649015328606
-
-
-def _mertens_point(ps: np.ndarray) -> float:
-    """gamma - sum over the primes ps of (log(1/(1-1/p)) - 1/p), the terms
-    added in ascending order."""
-    ip = 1.0 / ps
-    terms = -np.log1p(-ip) - ip
-    return EULER_GAMMA - (float(np.add.accumulate(terms)[-1]) if len(terms) else 0.0)
-
-
-def mertens_A(prime_limit: int = 10**6) -> BracketedValue:
-    """gamma - sum over primes of (log(1/(1-1/p)) - 1/p), summed to the
-    given limit with the tail bounded by sum 1/(2n(n-1)) < 1/prime_limit."""
-    val = _mertens_point(primes_upto(prime_limit))
-    return BracketedValue(val, val - 1.0 / prime_limit, val)
-
-
 def beta_r(r: int) -> float:
     """Propinquity exponent (log3 - 1)^m / (log3 - 1/3)^{m-1} with m chosen
     by 2^{m-1} < r + 1 <= 2^m."""
@@ -526,9 +497,9 @@ def raouj_F(lam: float) -> float:
     return lam - LN2
 
 
-@dataclass(frozen=True)
-class ConstantTable:
-    """The named constants, each computed from its closed form.
+def constant_table() -> dict[str, float]:
+    """The named constants by name, each from its closed form, and A and
+    b = 1/3 + A from the 30-digit MERTENS_A.
 
     Note: the printed source value for c_pseudo (3.566509) is a slip for its
     own defining expression (1 - log 2)/delta = 3.5650990; the closed-form
@@ -536,64 +507,29 @@ class ConstantTable:
     corrected decimal 3.565099, and tests/test_experiments.py against a
     30-digit reference.
     """
-
-    delta: float
-    beta: float
-    gamma_delta: float
-    lambda_star: float
-    sigma0: float
-    c_pseudo: float
-    b: float
-    mertens: float
-    hall_c: float
-    two_minus_log4: float
-    beta_1: float
-    beta_2: float
-    beta_4: float
-
-    def as_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "beta": self.beta,
-            "gamma_delta": self.gamma_delta,
-            "lambda_star": self.lambda_star,
-            "sigma0": self.sigma0,
-            "c_pseudo": self.c_pseudo,
-            "b": self.b,
-            "A": self.mertens,
-            "hall_c": self.hall_c,
-            "two_minus_log4": self.two_minus_log4,
-            "beta_1": self.beta_1,
-            "beta_2": self.beta_2,
-            "beta_4": self.beta_4,
-        }
-
-
-def constant_table() -> ConstantTable:
     delta = 1.0 - (1.0 + math.log(LN2)) / LN2
-    A = mertens_A().point
-    return ConstantTable(
-        delta=delta,
-        beta=1.0 - (1.0 + math.log(math.log(3.0))) / math.log(3.0),
-        gamma_delta=LN2 / math.log((1.0 - 1.0 / math.log(27.0)) / (1.0 - 1.0 / math.log(3.0))),
-        lambda_star=LAMBDA_STAR,
-        sigma0=LN2 / (1.0 - LN2),
-        c_pseudo=(1.0 - LN2) / delta,
-        b=1.0 / 3.0 + A,
-        mertens=A,
-        hall_c=0.5 - math.log(math.pi**2 / 6.0) / math.log(4.0),
-        two_minus_log4=2.0 - math.log(4.0),
-        beta_1=beta_r(1),
-        beta_2=beta_r(2),
-        beta_4=beta_r(4),
-    )
+    return {
+        "delta": delta,
+        "beta": 1.0 - (1.0 + math.log(math.log(3.0))) / math.log(3.0),
+        "gamma_delta": LN2 / math.log((1.0 - 1.0 / math.log(27.0)) / (1.0 - 1.0 / math.log(3.0))),
+        "lambda_star": LAMBDA_STAR,
+        "sigma0": LN2 / (1.0 - LN2),
+        "c_pseudo": (1.0 - LN2) / delta,
+        "b": 1.0 / 3.0 + MERTENS_A,
+        "A": MERTENS_A,
+        "hall_c": 0.5 - math.log(math.pi**2 / 6.0) / math.log(4.0),
+        "two_minus_log4": 2.0 - math.log(4.0),
+        "beta_1": beta_r(1),
+        "beta_2": beta_r(2),
+        "beta_4": beta_r(4),
+    }
 
 
 __all__ = [
-    "BracketedValue", "ConstantTable", "EmpiricalDistribution", "OmegaMedianResult",
+    "EmpiricalDistribution", "OmegaMedianResult",
     "PPlusStats", "alpha0", "beta_r", "constant_table", "convergent_growth_report",
     "convergents", "dtheta_min", "eps_pair", "erdos_kac", "exceptional_count",
     "golden_ratio_fraction", "h_count", "lower_bound_integral", "maximize_lower_bound",
-    "me_fractions", "mertens_A", "nu_distribution", "omega_median_count",
+    "me_fractions", "nu_distribution", "omega_median_count",
     "pplus_adjacency", "raouj_F", "s_avg", "sqrt2_fraction", "t_sum", "totient_values",
 ]

@@ -107,7 +107,7 @@ def _lambda_column(k: int, ps: np.ndarray):
 def _require_prime(p: int, caller: str) -> None:
     from .sieve import is_prime_u64
 
-    if not is_prime_u64(p):
+    if p < 2 or not is_prime_u64(p):
         raise DomainError(f"{caller} needs a prime, got {p}")
 
 
@@ -242,16 +242,17 @@ def gaussian_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-def phi0_correction(z: float, A: float | None = None) -> float:
-    """Second-order correction term exp(-z^2/2) * (1/3 + A - z^2/3) to the
-    Gaussian law of the k-th prime factor.  Without A it sums Mertens' A
-    afresh (`experiments.mertens_A`, a few ms), so a caller in a loop passes
-    A = mertens_A().point once."""
-    if A is None:
-        from .experiments import mertens_A
+# Mertens' constant A = gamma + sum_p (log(1 - 1/p) + 1/p) and the sum
+# S = sum_p 1/(p(p - 1)), each to 30 decimals; tests/oracles.py derives both
+# from log zeta series (Finch, *Mathematical Constants*, 2003, 2.2).
+MERTENS_A = 0.261497212847642783755426838609
+PRIME_ZETA_SUM = 0.773156669049795127864367459856
 
-        A = mertens_A().point
-    return math.exp(-z * z / 2.0) * (1.0 / 3.0 + A - z * z / 3.0)
+
+def phi0_correction(z: float) -> float:
+    """Second-order correction term exp(-z^2/2) * (1/3 + A - z^2/3) to the
+    Gaussian law of the k-th prime factor, with A = MERTENS_A."""
+    return math.exp(-z * z / 2.0) * (1.0 / 3.0 + MERTENS_A - z * z / 3.0)
 
 
 def lambda_mode(p: int) -> tuple[int, float]:

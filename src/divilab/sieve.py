@@ -45,7 +45,8 @@ except (AttributeError, OSError, TypeError):
 _CACHE_MAGIC = b"DVL1"
 _CACHE_VERSION = 1
 
-# Deterministic Miller-Rabin witness set for all n < 2**64.
+# Deterministic Miller-Rabin witness set for all n < 2**64; is_prime_u64
+# trial-divides by the same primes first.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -55,7 +56,7 @@ def is_prime_u64(n: int) -> bool:
         raise DomainError(f"is_prime_u64 needs 0 <= n < 2**64, got {n}")
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -130,7 +131,6 @@ class SpfSieve:
         self.limit = int(limit)
         self.spf = spf
         self.spf.flags.writeable = False
-        self._primes: np.ndarray | None = None
 
     @classmethod
     def build(cls, limit: int) -> "SpfSieve":
@@ -164,15 +164,6 @@ class SpfSieve:
                 e += 1
             out.append((p, e))
         return out
-
-    def primes(self) -> np.ndarray:
-        """All primes <= limit (cached)."""
-        if self._primes is None:
-            idx = np.arange(len(self.spf), dtype=self.spf.dtype)
-            mask = self.spf == idx
-            mask[:2] = False
-            self._primes = np.flatnonzero(mask).astype(np.int64)
-        return self._primes
 
     def _check_range(self, n: int) -> None:
         if not 1 <= n <= self.limit:

@@ -13,7 +13,9 @@ sweep that the column-wise DP replaced, the k-th-divisor Monte Carlo
 sampler over all n that drawing only the multiples of d replaced, the
 truncated friable sum with its Rankin tail that m(y) came from, and the
 recursive valuation DP that reduced each branch level's whole state, which
-the explicit-stack engine replaced.  Slow on purpose.
+the explicit-stack engine replaced, and the log zeta series in `decimal`
+that the literals of Mertens' A and sum_p 1/(p(p-1)) are checked against.
+Slow on purpose.
 """
 
 import math
@@ -428,6 +430,49 @@ def lambda_kd_formula(k, d, limit=10**13):
     for p in primes:
         tail /= 1.0 - p**-0.5
     return prod * total / d, prod * tail / d
+
+
+EULER_GAMMA_50 = "0.57721566490153286060651209008240243104215933593992"
+
+
+def mertens_constants(digits=50, kmax=130, N=20, terms=15):
+    """(A, S) as Decimals to about `digits` digits, with the standard library
+    only: Mertens' A = gamma + sum_{k>=2} mu(k) log zeta(k) / k (Finch,
+    *Mathematical Constants*, 2003, 2.2) and S = sum_p 1/(p(p-1)) =
+    sum_{k>=2} P(k), the prime zeta function P(k) = sum_m mu(m) log zeta(mk) / m.
+
+    zeta(s) for integer s >= 2 by Euler-Maclaurin: the terms n < N, the
+    integral and half-term at N, then `terms` Bernoulli corrections.  Both
+    series are cut at log zeta(kmax); as log zeta(n) < 2^(1-n) and the
+    weights sum to under sigma(n)/n < 5 per n here, the tail is below
+    10 * 2^-kmax (8e-39 at kmax = 130)."""
+    from decimal import Decimal, localcontext
+    from fractions import Fraction
+
+    bern = [Fraction(1)]
+    for m in range(1, 2 * terms + 1):
+        bern.append(-sum(math.comb(m + 1, j) * bern[j] for j in range(m)) / (m + 1))
+    with localcontext() as ctx:
+        ctx.prec = digits
+
+        def dec(fr):
+            return Decimal(fr.numerator) / Decimal(fr.denominator)
+
+        def log_zeta(s):
+            Nd = Decimal(N)
+            acc = sum(Decimal(n) ** -s for n in range(1, N))
+            acc += Nd ** (1 - s) / (s - 1) + Nd ** -s / 2
+            rising = Decimal(s)  # s (s + 1) ... (s + 2j - 2)
+            for j in range(1, terms + 1):
+                acc += dec(bern[2 * j] / math.factorial(2 * j)) * rising * Nd ** (1 - s - 2 * j)
+                rising *= (s + 2 * j - 1) * (s + 2 * j)
+            return acc.ln()
+
+        L = {n: log_zeta(n) for n in range(2, kmax + 1)}
+        A = Decimal(EULER_GAMMA_50) + sum(naive_mu(k) * L[k] / k for k in range(2, kmax + 1))
+        S = sum(naive_mu(m) * L[m * k] / m
+                for k in range(2, kmax + 1) for m in range(1, kmax // k + 1))
+        return +A, +S
 
 
 def riemann_integral(c, points=10**6):

@@ -193,7 +193,7 @@ PRINTED = {
 
 @pytest.mark.parametrize("name", sorted(PRINTED))
 def test_criterion_07_constants(name):
-    value = exp.constant_table().as_dict()[name]
+    value = exp.constant_table()[name]
     want, tol = PRINTED[name]
     ok = abs(value - want) <= tol
     detail = f"{name} = {value:.7f}, printed {want} ± {tol:g}"
@@ -287,7 +287,7 @@ def test_criterion_11a_me_fraction_threshold(me_fracs):
     fr, _ = me_fracs
     naive = sum(1 for n in range(1, 10**4 + 1) if naive_in_ME(n))
     exact = fr[0] == naive / 10**4
-    beta = exp.constant_table().beta
+    beta = exp.constant_table()["beta"]
 
     def rate(x, f):
         return (1 - f) * math.log(x) ** beta * math.log(math.log(x)) ** 1.5

@@ -629,12 +629,21 @@ def test_bad_counts_exit_codes(tmp_path, capsys):
         # a bad k or d is a domain error, even where the seed rule would apply
         (("lambdad", "--k", "0", "--d", "40"), 2),
         (("lambdad", "--k", "1", "--d", "0", "--method", "mc"), 2),
+        # a given 0, negative or empty value is checked, not taken as absent
+        (("lambda", "--mode", "--p", "0"), 2),
+        (("lambda", "--mode", "--p", "-3"), 2),
+        (("exp", "--preset", "eps", "--y", "0", "--z", "5"), 2),
+        (("exp", "--preset", "eps", "--y", "-1", "--z", "5"), 2),
+        (("exp", "--preset", "median-primes", "--k", ""), 64),
     ]
     for argv, want in table:
         code = dispatch(list(argv))
         err = capsys.readouterr().err
         assert code == want, argv
         assert "Traceback" not in err
+    # the refusal of p < 2 names the function asked, not the primality test
+    dispatch(["lambda", "--mode", "--p", "-3"])
+    assert "lambda_mode" in capsys.readouterr().err
 
 
 def test_cli_import_loads_no_scipy():

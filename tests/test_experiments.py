@@ -1,19 +1,22 @@
-import functools
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import divilab.experiments as exp
 from divilab import DomainError, GeneratorSet, density_bracket, factor
+from divilab import locallaws
 from divilab.multiples import SIGMA0
 
 from oracles import (
     divisor_lists,
     list_delta,
     list_dtheta_exponents,
+    mertens_constants,
     naive_h_count,
     naive_phi,
     riemann_integral,
@@ -244,15 +247,14 @@ def test_omega_median_count():
     r = exp.omega_median_count(10)
     assert r.count == 1  # only n = 1 has Omega <= ln ln 10
     assert r.count <= 10
-    assert r.direct_formula_constant == pytest.approx(-1.1783, abs=1e-3)
+    # A - 2/3 - sum_p 1/(p(p-1)), from the oracle's 50-digit A and S
+    assert r.direct_formula_constant == pytest.approx(-1.17832612286881901, abs=1e-12)
     r2 = exp.omega_median_count(10**5)
     assert 0 < r2.count <= 10**5
     assert math.isfinite(r2.formula_gap)
 
 
-def test_omega_median_count_matches_oracle(monkeypatch):
-    # each call lists the primes to 10^6 for its formula constant: list them once
-    monkeypatch.setattr(exp, "primes_upto", functools.lru_cache(exp.primes_upto))
+def test_omega_median_count_matches_oracle():
     # K = floor(ln ln x) steps 0 -> 1 at 15/16 and 1 -> 2 at 1618/1619
     assert math.floor(math.log(math.log(15))) == 0 < math.floor(math.log(math.log(16)))
     assert math.floor(math.log(math.log(1618))) == 1 < math.floor(math.log(math.log(1619)))
@@ -360,11 +362,23 @@ def test_me_fractions_increasing():
     assert fr[0] < fr[1] < fr[2]
 
 
+def _literal(module, name):
+    """The source text of the number assigned to module.name."""
+    src = Path(module.__file__).read_text()
+    for node in ast.parse(src).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]:
+            return ast.get_source_segment(src, node.value)
+    raise LookupError(name)
+
+
 def test_mertens_A():
-    est = exp.mertens_A()
-    assert est.point == pytest.approx(0.26149721284764, abs=1e-6)
-    assert est.lower <= 0.26149721284764 <= est.upper + 1e-9
-    assert est.point == pytest.approx(0.26150, abs=1e-4)
+    # both literals are the oracle's zeta-series values, rounded to 30
+    # decimals in the source and to the nearest float at run time
+    A, S = mertens_constants()
+    for name, ref in (("MERTENS_A", A), ("PRIME_ZETA_SUM", S)):
+        assert getattr(locallaws, name) == float(ref), name
+        assert _literal(locallaws, name) == f"{ref:.30f}", name
+    assert exp.constant_table()["A"] == float(A)
 
 
 # frozen 30-digit reference values (independent high-precision evaluation)
@@ -376,6 +390,7 @@ CONSTANT_REFS = {
     "sigma0": 2.25889135327092945459791735692,
     "c_pseudo": 3.56509899533846770028872126355,
     "b": 0.594830546180976117088760171942,
+    "A": 0.261497212847642783755426838609,
     "hall_c": 0.140985120888259292683590176866,
     "two_minus_log4": 0.613705638880109381165535757084,
     "beta_1": 0.0986122886681096913952452369225,
@@ -385,11 +400,9 @@ CONSTANT_REFS = {
 
 
 def test_constant_table_closed_forms():
-    table = exp.constant_table().as_dict()
+    table = exp.constant_table()
     for name, ref in CONSTANT_REFS.items():
-        tol = 1e-6 if name == "b" else 1e-12  # b carries the Mertens-sum error
-        assert table[name] == pytest.approx(ref, abs=tol), name
-    assert table["A"] == pytest.approx(0.26149721284764278, abs=1e-6)
+        assert table[name] == pytest.approx(ref, abs=1e-12), name
 
 
 def test_beta_r_banding():

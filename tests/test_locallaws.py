@@ -23,6 +23,7 @@ from divilab import (
 from divilab import locallaws
 from divilab import multiples as multiples_mod
 from divilab.locallaws import (
+    MERTENS_A,
     LocalLawRow,
     MedianResult,
     _MAX_N,
@@ -149,9 +150,7 @@ def test_gaussian_cdf():
 
 
 def test_phi0_correction():
-    from divilab.experiments import mertens_A
-
-    A = mertens_A().point
+    A = MERTENS_A
     assert phi0_correction(0.0) == pytest.approx(1 / 3 + A, abs=1e-9)
     assert phi0_correction(0.0) == pytest.approx(0.59483, abs=1e-4)
     assert phi0_correction(50.0) == 0.0
