@@ -10,12 +10,16 @@ carry relative error O(pi(p) * ulp) -- certified against an exact-rational
 oracle for small p in the tests.  The DP (`_columns`) runs column by column
 over all the primes at once: e_j at every prime is a prefix sum of
 e_{j-1} / (q - 1), one numpy accumulate per whole column, and it stops at
-the first column that is all zero.  The e_j underflow long before j reaches
-pi(p) (178 nonzero columns at p = 60013, against 6057 primes below it), so
-this costs O(J * pi(p)) rather than O(pi(p)^2).  Two columns are live, 288 KB
-at the median's pmax = 200000, so the primes need no blocks: each caller
-reads each column as it passes (its last entry, or the lambda_k column), and
-a batch of primes would read the same columns at their indices.
+the first column that is all zero, or earlier when the caller has read what
+it needs.  So the cost is O(J * pi(p)) for J columns, never O(pi(p)^2):
+`s_coeffs` and `lambda_kp` read kmax + 1 and k columns, and `lambda_mode`
+and `unimodal_check` stop at the first column dominated by the one before
+it (`_state_at`), at most 4 columns at every prime below 10^4 and at 60013,
+where the e_j only underflow after 178 columns.  Two columns are live,
+288 KB at the median's pmax = 200000, so the primes need no blocks: each
+caller reads each column as it passes (its last entry, or the lambda_k
+column).  The primes are listed up to errors.DEFAULT_SCAN_CAP and no
+further (`_capped_primes`).
 
 The exact k-th-divisor law forms no array, so the module imports no numpy:
 the sweeps, the prime lists (`sieve`) and the Monte Carlo path import them
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .density import DensityEstimate, bracket
-from .errors import DomainError, ResourceError
+from .errors import DEFAULT_SCAN_CAP, DomainError, ResourceError
 from .multiples import _bonferroni_sums, _check_lcm_work
 
 
@@ -70,21 +74,45 @@ def _columns(ps: np.ndarray, size: int):
     return prods, columns()
 
 
+def _capped_primes(n: int) -> np.ndarray:
+    """primes_upto(n), or ResourceError first when n passes DEFAULT_SCAN_CAP:
+    a local law at p reads every prime below p."""
+    if n > DEFAULT_SCAN_CAP:
+        raise ResourceError(f"local laws list the primes up to {n}, past the cap "
+                            f"{DEFAULT_SCAN_CAP}")
+    from .sieve import primes_upto
+
+    return primes_upto(n)
+
+
 def _state_at(p: int, kmax: int | None = None):
     """The DP's state at the prime p: (prod_{q<p}(1-1/q), e, pi(p - 1)), e[j]
     the last entry of whole column j over the primes below p (0 past the
-    last column), for j <= min(kmax, pi(p - 1) + 1)."""
+    last column), for j <= min(kmax, pi(p - 1) + 1).
+
+    With kmax None the columns stop at the first j >= 1 whose column is <=
+    column j - 1 at every prime, and e is 0 past it.  Each column is
+    exactly dominated by its predecessor from there on: column j + 1 is
+    built from column j by the same correctly rounded divisions by q - 1 and
+    sequential adds that built column j from column j - 1, both monotone in
+    their inputs, so by induction along the primes (entry 0 is 0 in both)
+    col_{j+1} <= col_j.  Every e_j left out is <= the one before it, which
+    keeps the first argmax and `_unimodal` of e exactly as over all columns.
+    """
     import numpy as np
 
-    from .sieve import primes_upto
-
-    ps = primes_upto(p - 1)
+    ps = _capped_primes(p - 1)
     seen = len(ps)
     size = (seen + 1 if kmax is None else min(kmax, seen + 1)) + 1
     prods, columns = _columns(ps, size)
     e = np.zeros(size)
+    prev = None
     for j, col in enumerate(columns):
         e[j] = col[-1]
+        # prev, column j - 1, is overwritten only when column j + 1 is made
+        if kmax is None and prev is not None and np.all(col <= prev):
+            break
+        prev = col
     return float(prods[-1]), e, seen
 
 
@@ -162,13 +190,11 @@ def lambda_row(k: int, P: int) -> LocalLawRow:
     over the DP's whole columns (`_lambda_column`)."""
     import numpy as np
 
-    from .sieve import primes_upto
-
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
     if P < 2:
         raise DomainError(f"need P >= 2, got {P}")
-    ps = primes_upto(P)
+    ps = _capped_primes(P)
     lam, tail = _lambda_column(k, ps)
     entries = tuple(zip(ps.tolist(), lam.tolist()))
     return LocalLawRow(k, entries, float(np.add.accumulate(lam)[-1]), tail)
@@ -195,11 +221,9 @@ def median_prime_detail(k: int, pmax: int = 200_000) -> MedianResult:
     """
     import numpy as np
 
-    from .sieve import primes_upto
-
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
-    ps = primes_upto(pmax)
+    ps = _capped_primes(pmax)
     cums = np.add.accumulate(np.concatenate(([0.0], _lambda_column(k, ps)[0])))
     # cums[i], the mass of the primes before ps[i], is nondecreasing; only a
     # cumulative sum this close to 1/2 can be a tie or a crossing
@@ -256,7 +280,13 @@ def phi0_correction(z: float) -> float:
 
 
 def lambda_mode(p: int) -> tuple[int, float]:
-    """(k*, lambda*) maximizing lambda_k(p) over k, ties toward smaller k."""
+    """(k*, lambda*) maximizing lambda_k(p) over k, ties toward smaller k.
+
+    lambda_k(p) is e_{k-1} times a factor free of k, so k* - 1 is the first
+    argmax of the e_j, read from the columns up to the first one dominated
+    by its predecessor (`_state_at`).  Every later column is <= that one in
+    floats, rounding being monotone, so k* and lambda* are bit for bit
+    those of all the columns, at a few columns in place of ~170."""
     import numpy as np
 
     _require_prime(p, "lambda_mode")
@@ -276,7 +306,12 @@ def _unimodal(values: np.ndarray) -> bool:
 
 
 def unimodal_check(p: int) -> bool:
-    """True iff {lambda_k(p)}_k rises then falls (plateaus allowed)."""
+    """True iff {lambda_k(p)}_k rises then falls (plateaus allowed).
+
+    The e_j are read up to the first column dominated by its predecessor
+    (`_state_at`); the e_j after it are nonincreasing in floats, rounding
+    being monotone, so they can add no rise after a fall and the answer is
+    that of all the columns."""
     _require_prime(p, "unimodal_check")
     _, e, seen = _state_at(p)
     return _unimodal(e[:seen + 1])

@@ -611,7 +611,12 @@ def test_config_file(tmp_path, capsys):
     assert code == 0
 
 
-def test_bad_counts_exit_codes(tmp_path, capsys):
+def test_bad_counts_exit_codes(tmp_path, capsys, monkeypatch):
+    def no_sieve(n):
+        raise AssertionError(f"primes_upto({n}) was called")
+
+    # a local law past the scan cap exits 3 before it lists a prime
+    monkeypatch.setattr("divilab.sieve.primes_upto", no_sieve)
     cfg = tmp_path / "divilab.cfg"
     cfg.write_text("threads=0\n")
     table = [
@@ -635,6 +640,8 @@ def test_bad_counts_exit_codes(tmp_path, capsys):
         (("exp", "--preset", "eps", "--y", "0", "--z", "5"), 2),
         (("exp", "--preset", "eps", "--y", "-1", "--z", "5"), 2),
         (("exp", "--preset", "median-primes", "--k", ""), 64),
+        (("lambda", "--mode", "--p", "1000000000039"), 3),
+        (("lambda", "--k", "2", "--pmax", "1000000000000"), 3),
     ]
     for argv, want in table:
         code = dispatch(list(argv))

@@ -21,6 +21,7 @@ from divilab import (
     unimodal_check,
 )
 from divilab import locallaws
+from divilab.errors import DEFAULT_SCAN_CAP
 from divilab import multiples as multiples_mod
 from divilab.locallaws import (
     MERTENS_A,
@@ -502,14 +503,17 @@ def test_median_matches_row_oracle():
 
 
 def test_point_queries_match_row_oracle():
+    # lambda_mode and unimodal_check, which stop at the first dominated
+    # column, against all the columns at every prime below 10^4
+    for p, prod, e, seen in sweep_rows(10**4):
+        j = int(np.argmax(e[:seen + 1]))
+        k_star, lam = lambda_mode(p)
+        assert (k_star, lam.hex()) == (j + 1, float(e[j] * prod / p).hex()), p
+        assert unimodal_check(p) == _unimodal(e[:seen + 1]), p
     wanted = {int(p) for p in primes_upto(500)} | {7919, 7927}
     for p, prod, e, seen in row_lambda_sweep(7927):
         if p not in wanted:
             continue
-        j = int(np.argmax(e[:seen + 1]))
-        k_star, lam = lambda_mode(p)
-        assert (k_star, lam.hex()) == (j + 1, float(e[j] * prod / p).hex())
-        assert unimodal_check(p) == _unimodal(e[:seen + 1])
         for kmax in (0, 1, 3, 9):
             want = np.pad(e[:kmax + 1], (0, max(0, kmax + 1 - len(e))))
             assert np.array_equal(s_coeffs(p, kmax).e, want), (p, kmax)
@@ -525,3 +529,44 @@ def test_point_queries_longer_than_a_block():
         k_star, lam = lambda_mode(p)
         assert (k_star, lam.hex()) == (j + 1, float(e[j] * prod / p).hex())
         assert unimodal_check(p) == _unimodal(e[:seen + 1])
+
+
+def test_dominated_columns_stay_dominated():
+    # from the first column <= its predecessor at every prime below p, each
+    # later column is <= its own predecessor too, so _state_at(p) may stop
+    # there: the e_j it leaves out never rise
+    for p in [int(p) for p in primes_upto(10**4)] + [30011, 60013]:
+        ps = primes_upto(p - 1)
+        cols = [col.copy() for col in _columns(ps, len(ps) + 2)[1]]
+        dominated = [bool(np.all(b <= a)) for a, b in zip(cols, cols[1:])]
+        stop = dominated.index(True) + 1 if True in dominated else len(cols) - 1
+        assert all(dominated[stop - 1:]), p
+        assert stop <= 3, p  # at most 4 columns, against ~170 to underflow
+        _, e, _ = locallaws._state_at(p)
+        want = np.zeros(len(e))
+        want[:stop + 1] = [col[-1] for col in cols[:stop + 1]]
+        assert np.array_equal(e, want), p
+
+
+def test_huge_local_laws_raise_before_sieving(monkeypatch):
+    def no_sieve(n):
+        raise AssertionError(f"primes_upto({n}) was called")
+
+    monkeypatch.setattr("divilab.sieve.primes_upto", no_sieve)
+    big = 1_000_000_000_039  # prime
+    for call in (lambda: unimodal_check(big), lambda: lambda_mode(big),
+                 lambda: s_coeffs(big, 3), lambda: lambda_kp(2, big),
+                 lambda: lambda_row(2, 10**12), lambda: median_prime_detail(2, 10**12),
+                 lambda: lambda_row(2, DEFAULT_SCAN_CAP + 1),
+                 lambda: lambda_mode(200_000_033)):  # the first prime p with p - 1 past it
+        with pytest.raises(ResourceError, match=f"past the cap {DEFAULT_SCAN_CAP}"):
+            call()
+    # the domain checks come first
+    for call in (lambda: lambda_mode(big + 2), lambda: s_coeffs(big, -1),
+                 lambda: lambda_kp(0, big), lambda: lambda_row(0, 10**12),
+                 lambda: median_prime_detail(0, 10**12)):
+        with pytest.raises(DomainError):
+            call()
+    # the cap itself still sieves
+    with pytest.raises(AssertionError, match=f"primes_upto\\({DEFAULT_SCAN_CAP}\\)"):
+        lambda_row(2, DEFAULT_SCAN_CAP)
