@@ -6,14 +6,15 @@ dividing A, and under natural density these valuations are independent with
 P(v_p = j) = (1 - 1/p) p^{-j} (the product measure behind Behrend's
 inequality; Hall-Tenenbaum, *Divisors*, ch. 0).  The same holds for the
 elements of any coprime base of A, which gcd refinement finds without
-factoring.  The DP takes the base elements in descending order; its state is
-the primitive set of quotients still to be matched, split into independent
-groups whenever no base element links them.  It runs as one loop over an
-explicit stack of frames, so a set of any depth (one branch level per base
-element) needs no recursion, and each branch level takes in only its new
-quotients instead of reducing its whole state again.  Past a budget of
-MAX_DP_STATES states it encloses the states it meets instead of solving them,
-so each set gets a rigorous bracket, exact when the DP finishes.
+factoring.  Its state is the primitive set of quotients still to be
+matched, split into independent groups whenever no base element links them,
+and it branches on the base element that divides the most elements of a
+group, so that the group falls apart below it.  It runs as one loop over an
+explicit stack of frames, so a set of any depth needs no recursion, and each
+branch level takes in only its new quotients instead of reducing its whole
+state again.  Past a budget of MAX_DP_STATES states it encloses the states
+it meets instead of solving them, so each set gets a rigorous bracket, exact
+when the DP finishes.
 `density_bracket` (auto), `m_of_y`, `remainder_Rn` and
 `experiments.eps_pair` report it; exact_ie and `behrend_ineq_check` raise
 ResourceError unless it is exact.
@@ -96,9 +97,13 @@ def multiples_count(A: GeneratorSet, x: int) -> int:
 
 def _primitive(values: Iterable[int]) -> tuple[int, ...]:
     """Ascending elements of values that no smaller element divides; (1,)
-    when 1 is among them."""
+    when 1 is among them.  A proper multiple of a is at least 2a, so values
+    whose largest is below twice their smallest are already primitive."""
+    values = sorted(set(values))
+    if values and values[-1] < 2 * values[0]:
+        return tuple(values)
     kept: list[int] = []
-    for a in sorted(set(values)):
+    for a in values:
         if not any(a % b == 0 for b in kept):
             kept.append(a)
     return tuple(kept)
@@ -135,8 +140,10 @@ class _ValuationDP:
     valuations at coprime base elements are independent, so the product
     measure is the same as over primes.  A state whose elements fall into
     groups sharing no base element is split, and its density is
-    1 - prod(1 - d(group)).  The memo lives as long as the object, so
-    related sets share states.  A state is stored as (lo, hi, L) with
+    1 - prod(1 - d(group)).  A group of two or more elements is solved by
+    branching on v_m(n) for the base element m that divides the most of them
+    (_branch).  The memo lives as long as the object, so related sets
+    share states.  A state is stored as (lo, hi, L) with
     L = lcm(state) and lo <= d L <= hi, exact when lo == hi: with integer
     numerators no gcd is taken until the final Fraction.  Once the memo
     holds MAX_DP_STATES states, a state not in it is enclosed (_enclosure),
@@ -149,7 +156,7 @@ class _ValuationDP:
 
     def __init__(self, gens: Sequence[int]):
         self.base = sorted(_coprime_base(gens), reverse=True)
-        self.profiles: dict[int, tuple[int, int, int]] = {}
+        self.profiles: dict[int, tuple[int, tuple[int, ...]]] = {}
         self.memo: dict[tuple[int, ...], tuple[int, int, int]] = {(): (0, 0, 1), (1,): (1, 1, 1)}
 
     def bounds(self, elems: Iterable[int]) -> tuple[Fraction, Fraction]:
@@ -158,20 +165,13 @@ class _ValuationDP:
         lower = Fraction(lo, L)
         return lower, (lower if lo == hi else Fraction(hi, L))
 
-    def _profile(self, q: int) -> tuple[int, int, int]:
-        """(m, v_m(q), mask) for q > 1: m is the largest base element dividing
-        q and bit i of mask is set when base[i] divides q."""
+    def _profile(self, q: int) -> tuple[int, tuple[int, ...]]:
+        """(mask, indices) for q > 1: bit i of mask is set, and i is among
+        the ascending indices, when base[i] divides q."""
         hit = self.profiles.get(q)
         if hit is None:
-            mask = 0
-            for i, m in enumerate(self.base):
-                if q % m == 0:
-                    mask |= 1 << i
-            m = self.base[(mask & -mask).bit_length() - 1]
-            v, r = 1, q // m
-            while r % m == 0:
-                v, r = v + 1, r // m
-            hit = self.profiles[q] = (m, v, mask)
+            idxs = tuple(i for i, m in enumerate(self.base) if q % m == 0)
+            hit = self.profiles[q] = (sum(1 << i for i in idxs), idxs)
         return hit
 
     def _solve(self, root: tuple[int, ...]) -> tuple[int, int, int]:
@@ -213,21 +213,23 @@ class _ValuationDP:
         frame returns, so in the order of a depth-first recursion."""
         known = self.profiles.get
         profs = [known(q) or self._profile(q) for q in state]
-        groups: list[int] = []  # the base elements of each group, as masks
-        for _, _, mask in profs:
-            rest = []
+        groups: list[tuple[int, list[int]]] = []  # (base elements as a mask, members)
+        for q, (mask, _) in zip(state, profs):
+            members, rest = [q], []
             for g in groups:
-                if g & mask:
-                    mask |= g
+                if g[0] & mask:  # g takes in q's group, in place
+                    mask |= g[0]
+                    g[1].extend(members)
+                    members = g[1]
                 else:
                     rest.append(g)
-            rest.append(mask)
+            rest.append((mask, members))
             groups = rest
         if len(groups) > 1:
             # coprime group lcms multiply to lcm(state); lower ends bound the miss above
             whole = miss_hi = miss_lo = 1
-            for g in groups:
-                lo, hi, L = yield tuple(q for q, (_, _, mask) in zip(state, profs) if mask & g)
+            for _, members in groups:
+                lo, hi, L = yield tuple(sorted(members))
                 whole *= L
                 miss_hi *= L - lo
                 miss_lo *= L - hi
@@ -238,7 +240,14 @@ class _ValuationDP:
         return out
 
     def _branch(self, state: tuple[int, ...], profs):
-        """Branch on v_m(n) for the largest base element m in the state.
+        """Branch on v_m(n) for the base element m that divides the most
+        elements of the state, the largest such m on a tie (the lowest index).
+
+        The state is one linked group of two or more elements, so m divides
+        at least two of them.  Taking out m unlinks the elements it alone
+        joined, so the levels tend to fall apart into coprime groups that
+        _frame solves apart; branching on the largest element instead peels
+        one element off per level and rarely splits a state.
 
         Write q = m^v r with m not dividing r; q matches n iff v <= v_m(n)
         and r | n.  Level u's state is the primitive set of the r with
@@ -247,12 +256,21 @@ class _ValuationDP:
         would give m^v' r' | m^u r, two elements of a primitive state), so
         only the new r are checked against each other and the old elements
         against the new r."""
-        m = max(tm for tm, _, _ in profs)
+        counts: dict[int, int] = {}
+        for _, idxs in profs:
+            for i in idxs:
+                counts[i] = counts.get(i, 0) + 1
+        top = max(counts.values())
+        i = min(i for i, c in counts.items() if c == top)
+        m, bit = self.base[i], 1 << i
         sub: list[int] = []  # level 0: the elements m does not divide
         new: dict[int, list[int]] = {}  # v > 0 -> its r, ascending as the state is
-        for q, (tm, v, _) in zip(state, profs):
-            if tm == m:
-                new.setdefault(v, []).append(q // m**v)
+        for q, (mask, _) in zip(state, profs):
+            if mask & bit:
+                v, r = 1, q // m
+                while r % m == 0:
+                    v, r = v + 1, r // m
+                new.setdefault(v, []).append(r)
             else:
                 sub.append(q)
         levels = ([0] if sub else []) + sorted(new)

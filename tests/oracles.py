@@ -13,7 +13,8 @@ sweep that the column-wise DP replaced, the k-th-divisor Monte Carlo
 sampler over all n that drawing only the multiples of d replaced, the
 truncated friable sum with its Rankin tail that m(y) came from, and the
 recursive valuation DP that reduced each branch level's whole state, which
-the explicit-stack engine replaced, and the log zeta series in `decimal`
+the explicit-stack engine replaced, the transfer product over a path of
+prime products, and the log zeta series in `decimal`
 that the literals of Mertens' A and sum_p 1/(p(p-1)) are checked against.
 Slow on purpose.
 """
@@ -256,6 +257,20 @@ def naive_ie_sums(gens):
 
     walk(0, 1, 0)
     return sums
+
+
+def prime_path_density(primes):
+    """d M({p_1 p_2, p_2 p_3, ...}) for distinct primes p_1, p_2, ..., by an
+    exact two-state transfer product.  Each p_i divides n with probability
+    1/p_i, independently; a_i and b_i are the probabilities that no two
+    consecutive primes among the first i both divide n and that p_i does not
+    or does divide n."""
+    from fractions import Fraction
+
+    a, b = Fraction(1), Fraction(0)
+    for p in primes:
+        a, b = (a + b) * (1 - Fraction(1, p)), a * Fraction(1, p)
+    return 1 - a - b
 
 
 def naive_bonferroni(gens, depth):
@@ -678,9 +693,9 @@ def row_sweep(ps, kmax=None):
 class RecursiveValuationDP:
     """The valuation DP as it ran before its explicit stack: _solve recurses
     once per state, and _branch reduces each level's whole state again with
-    the quadratic _primitive.  Same coprime base, memo order, budget and
-    enclosure as the engine, here with the budget passed in; Python's
-    recursion limit bounds its depth."""
+    the quadratic _primitive.  Same coprime base, branch rule, memo order,
+    budget and enclosure as the engine, here with the budget passed in;
+    Python's recursion limit bounds its depth."""
 
     def __init__(self, gens, budget):
         self.base = sorted(self._coprime_base(gens), reverse=True)
@@ -722,17 +737,10 @@ class RecursiveValuationDP:
         return max(L // state[0], s1 - s2), L - miss, L
 
     def _profile(self, q):
+        """The mask of the base elements dividing q: bit i for base[i]."""
         hit = self.profiles.get(q)
         if hit is None:
-            mask = 0
-            for i, m in enumerate(self.base):
-                if q % m == 0:
-                    mask |= 1 << i
-            m = self.base[(mask & -mask).bit_length() - 1]
-            v, r = 1, q // m
-            while r % m == 0:
-                v, r = v + 1, r // m
-            hit = self.profiles[q] = (m, v, mask)
+            hit = self.profiles[q] = sum(1 << i for i, m in enumerate(self.base) if q % m == 0)
         return hit
 
     def root(self, elems):
@@ -745,9 +753,9 @@ class RecursiveValuationDP:
             return hit
         if len(self.memo) >= self.budget:
             return self._enclosure(state)
-        profs = [self._profile(q) for q in state]
+        masks = [self._profile(q) for q in state]
         groups = []
-        for q, (_, _, mask) in zip(state, profs):
+        for q, mask in zip(state, masks):
             members, rest = [q], []
             for g_mask, g_members in groups:
                 if g_mask & mask:
@@ -768,13 +776,27 @@ class RecursiveValuationDP:
         elif len(state) == 1:
             out = (1, 1, state[0])
         else:
-            out = self._branch(state, profs)
+            out = self._branch(state, masks)
         self.memo[state] = out
         return out
 
-    def _branch(self, state, profs):
-        m = max(tm for tm, _, _ in profs)
-        parts = [(v, q // m**v) if tm == m else (0, q) for q, (tm, v, _) in zip(state, profs)]
+    def _branch(self, state, masks):
+        """Branch on the base element dividing the most elements of the
+        state, the largest (lowest bit) on a tie."""
+        counts = {}
+        for mask in masks:
+            while mask:
+                low = mask & -mask
+                i = low.bit_length() - 1
+                counts[i] = counts.get(i, 0) + 1
+                mask ^= low
+        m = self.base[min(counts, key=lambda i: (-counts[i], i))]
+        parts = []
+        for q in state:
+            v = 0
+            while q % m == 0:
+                q, v = q // m, v + 1
+            parts.append((v, q))
         levels = sorted({v for v, _ in parts})
         e = levels[-1]
         lcm_rest = math.lcm(*(r for _, r in parts))

@@ -9,8 +9,9 @@ returns a rigorous estimate, Lambda_kd's exact route among them, against
 these oracles, and so do the exact share of multiples up to x, the float
 log density's rounding bracket and a Monte Carlo run with no hits.  On every
 set here, at every budget, the engine's memo and results equal those of the
-recursive DP it replaced, and a set 500 branch levels deep answers under
-Python's default recursion limit.
+recursive DP it replaced.  A path of prime products nests its states
+deeper than a lowered recursion limit and still answers exactly, and the
+state counts of two intervals are pinned.
 """
 
 import decimal
@@ -46,6 +47,7 @@ from divilab.multiples import (
 from oracles import (
     RecursiveValuationDP,
     naive_ie_sums,
+    prime_path_density,
     naive_lambda_kd,
     trial_divisors,
     trial_factor,
@@ -228,18 +230,80 @@ def test_large_generators_need_no_factorisation():
     assert time.perf_counter() - start < 1.0
 
 
-def test_deep_set_needs_no_recursion_limit():
-    """2p over the first 500 odd primes: the DP branches once per prime, so
-    its states nest 500 deep, past what a recursive DP can reach under the
-    default limit of 1000 frames.  d M = (1/2)(1 - prod(1 - 1/p))."""
+def _frame_depth(monkeypatch):
+    """A list whose item 0 becomes the deepest nesting of live _frame
+    generators in the DPs run while the patch holds."""
+    live, deepest = [0], [0]
+    frame = multiples._ValuationDP._frame
+
+    def counted(self, state):
+        live[0] += 1
+        deepest[0] = max(deepest[0], live[0])
+        try:
+            return (yield from frame(self, state))
+        finally:
+            live[0] -= 1
+
+    monkeypatch.setattr(multiples._ValuationDP, "_frame", counted)
+    return deepest
+
+
+def test_deep_set_needs_no_recursion_limit(monkeypatch):
+    """2p over the first 500 odd primes: the DP branches on 2, which divides
+    every element, and the 500 primes left split at once, so its states
+    nest 2 deep.  d M = (1/2)(1 - prod(1 - 1/p))."""
     limit = sys.getrecursionlimit()
     primes = [p for p in range(3, 3582) if all(p % d for d in range(2, math.isqrt(p) + 1))]
     assert len(primes) == 500
     want = (1 - math.prod(1 - Fraction(1, p) for p in primes)) / 2
+    depth = _frame_depth(monkeypatch)
     for method in ("exact_ie", "auto"):
         est = density_bracket(GeneratorSet(2 * p for p in primes), method=method)
         assert est.method == "exact_ie" and est.exact == want, method
+    assert depth[0] == 2
     assert sys.getrecursionlimit() == limit
+
+
+def _stack_depth():
+    """The number of frames on the stack from the caller's frame outward."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_prime_path_nests_past_the_recursion_limit(monkeypatch):
+    """p_i p_(i+1) over the first 300 primes: every prime but the two ends
+    divides two elements, so the DP branches on the largest of those, and
+    its levels split the path two primes shorter off the neighbours it
+    freed.  The states nest 151 deep, past a recursion limit that the
+    recursive DP cannot work under, and the engine answers exactly
+    (oracles.prime_path_density)."""
+    primes = [p for p in range(2, 1988) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    assert len(primes) == 300
+    gens = [p * q for p, q in zip(primes, primes[1:])]
+    depth = _frame_depth(monkeypatch)
+    limit = sys.getrecursionlimit()
+    lowered = _stack_depth() + 40
+    sys.setrecursionlimit(lowered)
+    try:
+        with pytest.raises(RecursionError):
+            RecursiveValuationDP(gens, multiples.MAX_DP_STATES).root(gens)
+        est = density_bracket(GeneratorSet(gens), method="exact_ie")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert est.method == "exact_ie" and est.exact == prime_path_density(primes)
+    assert depth[0] == 151 > lowered
+
+
+def test_state_counts():
+    """The DP branches on the base element that divides the most elements
+    of a state; branching on the largest one took 2948 states on
+    (500, 1000] and 425 on (1000, 1016]."""
+    for gens, states in ((range(501, 1001), 496), (range(1001, 1017), 72)):
+        dp = multiples._ValuationDP(gens)
+        lo, hi = dp.bounds(gens)
+        assert lo == hi and len(dp.memo) == states, gens
 
 
 # ---------------------------------------------------------------------------
