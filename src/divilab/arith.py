@@ -10,7 +10,7 @@ come from `tables._divisor_spectra`, which factors nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DEFAULT_LIMIT_CAP, DomainError, ResourceError
@@ -93,9 +93,8 @@ class Factored:
 
 
 def factor(n: int, sieve: SpfSieve) -> Factored:
-    """Factor n via the SPF chain; requires 1 <= n <= sieve.limit."""
-    if not 1 <= n <= sieve.limit:
-        raise DomainError(f"n={n} outside sieve range 1..{sieve.limit}")
+    """Factor n via the SPF chain; requires 1 <= n <= sieve.limit, else
+    `SpfSieve.factor_pairs` raises DomainError."""
     return Factored(n, tuple(sieve.factor_pairs(n)))
 
 
@@ -136,15 +135,20 @@ def factor_int(n: int) -> Factored:
 
 @dataclass(frozen=True)
 class DivisorSpectrum:
-    """Strictly ascending divisors of n with their natural logarithms."""
+    """Strictly ascending divisors of n."""
 
     n: int
     divisors: tuple[int, ...]
-    logs: tuple[float, ...] = field(repr=False)
 
     @property
     def tau(self) -> int:
         return len(self.divisors)
+
+    @property
+    def logs(self) -> tuple[float, ...]:
+        """Natural logarithms of the divisors, computed on each read: only the
+        window statistics and E_r read them."""
+        return tuple(map(math.log, self.divisors))
 
 
 def divisors(f: Factored) -> DivisorSpectrum:
@@ -162,7 +166,7 @@ def divisors(f: Factored) -> DivisorSpectrum:
             pe *= p
             divs.extend(d * pe for d in block)
     divs.sort()
-    return DivisorSpectrum(f.n, tuple(divs), tuple(math.log(d) for d in divs))
+    return DivisorSpectrum(f.n, tuple(divs))
 
 
 @dataclass(frozen=True)

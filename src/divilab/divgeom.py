@@ -169,7 +169,9 @@ def _below_e(d: int, d2: int) -> bool:
 
 
 def _window_ends(divs: Sequence[int], logs: Sequence[float]) -> list[int]:
-    """For each start index i, the largest j with d_j < e d_i."""
+    """For each start index i of one n's ascending divisors and their logs
+    (`DivisorSpectrum.logs`), the largest j with d_j < e d_i.  This is the
+    per-n form of `tables._delta_window`, which runs over a range of n."""
     tau = len(logs)
     ends = []
     j = 0
@@ -185,15 +187,10 @@ def _window_ends(divs: Sequence[int], logs: Sequence[float]) -> list[int]:
     return ends
 
 
-def _max_window(divs: Sequence[int], logs: Sequence[float]) -> int:
-    """Most divisors in one window, from the ascending divisors and their logs."""
-    ends = _window_ends(divs, logs)
-    return max(map(operator.sub, ends, range(-1, len(ends) - 1)))  # ends[i] - i + 1
-
-
 def delta(spec: DivisorSpectrum) -> int:
     """Maximum number of divisors in any window (e^u, e^{u+1}]."""
-    return _max_window(spec.divisors, spec.logs)
+    ends = _window_ends(spec.divisors, spec.logs)
+    return max(map(operator.sub, ends, range(-1, len(ends) - 1)))  # ends[i] - i + 1
 
 
 def delta_osc(spec: DivisorSpectrum, f: OscWeight) -> float:

@@ -16,16 +16,15 @@ from fractions import Fraction
 import numpy as np
 
 from .density import DensityEstimate
-from .divgeom import _below_e
 from .errors import DomainError, ResourceError
 from .locallaws import MERTENS_A, PRIME_ZETA_SUM, gaussian_cdf
 from .multiples import GeneratorSet, _bracket_estimate, alpha0, divisor_hit_densities
 from .sieve import primes_upto
 from .tables import (
-    _PAIR_WINDOW,
     _check_cap,
     _count_divisors,
-    _divisor_pairs,
+    _delta_window,
+    _pair_windows,
     _prime_pi,
     _windows,
     e_set_mask,
@@ -95,36 +94,12 @@ def t_sum(x: int, threads: int = 1) -> tuple[int, int]:
     return direct, dyadic
 
 
-# K = (n - a) * _KEY_STRIDE + log d orders a window's pairs by n and then d,
-# and log d < 20 below the scan cap keeps K + 1 short of the next n's keys.
-# K < 2^21 rounds to within 5e-10, so a pair beyond _KEY_BAND of the window
-# edge is decided by K; inside it, `divgeom._below_e` decides in integers.
-_KEY_STRIDE = 32
-_KEY_BAND = 1e-6
-
 # Largest x of `s_avg`, whose windows sort every divisor pair of [1, x].
 S_AVG_CAP = 10**7
 
 
-def _delta_window(a: int, b: int) -> np.ndarray:
-    """Delta(n) for n in [a, b), b - a <= 2^16, from the window's divisor
-    pairs: the window opened at pair i ends before the first pair j with
-    d_j >= e d_i, searched on K at 1 -/+ the band; Delta is the longest."""
-    off, d = _divisor_pairs(a, b)
-    K = off * _KEY_STRIDE + np.log(d)
-    end = np.searchsorted(K, K + (1 - _KEY_BAND))
-    edge = np.searchsorted(K, K + (1 + _KEY_BAND))
-    for i in np.flatnonzero(end != edge).tolist():
-        di = int(d[i])
-        while end[i] < edge[i] and _below_e(di, int(d[end[i]])):
-            end[i] += 1
-    return np.maximum.reduceat(end - np.arange(len(end)), np.flatnonzero(d == 1))
-
-
 def _delta_sum_chunk(bounds: tuple[int, int]) -> int:
-    lo, hi = bounds
-    return sum(int(_delta_window(a, min(a + _PAIR_WINDOW, hi)).sum())
-               for a in range(lo, hi, _PAIR_WINDOW))
+    return sum(int(_delta_window(key, start).sum()) for _, key, start in _pair_windows(*bounds))
 
 
 def s_avg(x: int, threads: int = 1) -> float:
@@ -422,13 +397,12 @@ def dtheta_exponent_stats(lo: int, hi: int, theta) -> tuple[float, float]:
     _check_cap(hi)
     th = float(theta)
     vals = []
-    for a in range(lo, hi + 1, _PAIR_WINDOW):
-        _, d = _divisor_pairs(a, min(a + _PAIR_WINDOW, hi + 1))
+    for _, d, start in _pair_windows(lo, hi + 1):
+        d &= 0xFFFFFFFF
         t = d * th
         fr = t - np.floor(t)
-        starts = np.flatnonzero(d == 1)
-        best = np.minimum.reduceat(np.minimum(fr, 1.0 - fr), starts)
-        tau = np.diff(starts, append=len(d))
+        best = np.minimum.reduceat(np.minimum(fr, 1.0 - fr), start)
+        tau = np.diff(start, append=len(d))
         keep = (tau >= 2) & (best > 0.0)
         # math.log, as the per-n scans take it, so the values match them bit for
         # bit; each window's values go straight into an array, as a list of

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .arith import INFINITE, Factored, divisors
+from .arith import INFINITE, Factored, divisors, factor_int
 from .density import DensityEstimate, bracket, outward
 from .errors import DEFAULT_SCAN_CAP, ConstraintError, DomainError, ResourceError
 
@@ -251,11 +251,11 @@ class _ValuationDP:
 
         Write q = m^v r with m not dividing r; q matches n iff v <= v_m(n)
         and r | n.  Level u's state is the primitive set of the r with
-        v <= u, reduced incrementally: it takes in the r with v = u, and no
-        element of the level below divides one of them (r' | r with v' < u
-        would give m^v' r' | m^u r, two elements of a primitive state), so
-        only the new r are checked against each other and the old elements
-        against the new r."""
+        v <= u, reduced incrementally: it takes in the r with v = u, and
+        neither an element of the level below (r' | r with v' < u would give
+        m^v' r' | m^u r) nor another new r (r' | r would give m^u r' | m^u r)
+        divides one of them, as the state is primitive, so only the old
+        elements are checked against the new r."""
         counts: dict[int, int] = {}
         for _, idxs in profs:
             for i in idxs:
@@ -279,13 +279,9 @@ class _ValuationDP:
         lo = hi = 0
         for i, u in enumerate(levels):
             if u:
-                fresh: list[int] = []
                 for r in new[u]:
-                    if all(r % b for b in fresh):
-                        fresh.append(r)
-                for r in fresh:
                     sub = [a for a in sub if a % r]
-                sub = sorted(sub + fresh)
+                sub = sorted(sub + new[u])
             # v_m(n) in [u, next level) has weight m^-u - m^-next, here scaled
             # by the m^e in the lcm; below the lowest level nothing matches
             sub_lo, sub_hi, sub_lcm = yield tuple(sub)
@@ -503,26 +499,16 @@ def sequential_density(A, T_grid: Sequence[int]) -> list[DensityEstimate]:
 
 
 def d1(n: int, A: GeneratorSet, f: Factored | None = None):
-    """Smallest divisor of n lying in A; the infinity sentinel when none."""
+    """Smallest divisor of n lying in A; the infinity sentinel when none.
+    The divisors come from f when given (it must factor n), else from
+    `factor_int(n)`."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     elems = set(A.elements)
-    if not elems:
-        return INFINITE
-    if f is not None:
-        for d in divisors(f).divisors:
-            if d in elems:
-                return d
-        return INFINITE
-    best = None
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            if d in elems:
-                return d
-            q = n // d
-            if q in elems and (best is None or q < best):
-                best = q
-    return best if best is not None else INFINITE
+    for d in divisors(f or factor_int(n)).divisors:
+        if d in elems:
+            return d
+    return INFINITE
 
 
 def criterion4_scan(A: GeneratorSet, eps: float, x: int) -> float:

@@ -19,10 +19,12 @@ strided slice of the multiples of d, split where m crosses sqrt(b) so that
 the part with m > sqrt(b) also counts m.  The divisor scans walk [1, x] in
 the L2-sized windows of `_windows`, as slices over a whole x-sized table
 would stride through all of it once per divisor.  Per-n statistics read
-every (n, d) with d | n in a window as one sorted int64 key per pair
-(`_pair_keys`), split into n - a and d by `_divisor_pairs`;
-`_divisor_spectra` cuts those windows into one sorted divisor list per n
-for `fn --range`.
+every (n, d) with d | n in a window of 2^16 integers as one sorted int64
+key per pair (`_pair_keys`).  `_pair_windows` is the one walk over such
+windows, and it gives where each n's keys start.  `_delta_window` reads
+Delta(n) from them for `s_avg`, `experiments.dtheta_exponent_stats` its
+per-n minima, and `_divisor_spectra` one sorted divisor list per n for
+`fn --range`.
 
 Scans partition cleanly over segments with associative merges; results are
 deterministic and independent of partitioning.
@@ -37,6 +39,7 @@ from typing import Iterator
 import numpy as np
 
 from .arith import DivisorSpectrum
+from .divgeom import _below_e
 from .errors import DEFAULT_SCAN_CAP, DomainError, ResourceError
 from .sieve import prime_runs, primes_upto
 
@@ -206,29 +209,56 @@ def _pair_keys(a: int, b: int) -> np.ndarray:
     return key
 
 
-def _divisor_pairs(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """(n - a, d) over every divisor d of every n in [a, b), b - a <= 2^16,
-    as flat int64 arrays sorted by n and then d, split from `_pair_keys`."""
-    key = _pair_keys(a, b)
+def _pair_windows(lo: int, hi: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(a, key, start) for each window [a, b) of at most _PAIR_WINDOW
+    integers over [lo, hi), ascending: the window's `_pair_keys`, and where
+    each n's keys start (at its d = 1), so n's divisors are
+    key[start[n - a]:start[n - a + 1]] & 0xFFFFFFFF.  A caller may change
+    key in place.  The generator keeps no array of a window once it makes
+    the next one's, so a caller that drops its own holds one window."""
+    for a in range(lo, hi, _PAIR_WINDOW):
+        b = min(a + _PAIR_WINDOW, hi)
+        key = _pair_keys(a, b)
+        yield a, key, np.searchsorted(key, np.arange(0, (b - a) << 32, 1 << 32, dtype=np.int64))
+        del key
+
+
+# K = (n - a) * _KEY_STRIDE + log d orders a window's pairs by n and then d,
+# and log d < 20 below the scan cap keeps K + 1 short of the next n's keys.
+# K < 2^21 rounds to within 5e-10, so a pair beyond _KEY_BAND of the window
+# edge is decided by K; inside it, `divgeom._below_e` decides in integers.
+_KEY_STRIDE = 32
+_KEY_BAND = 1e-6
+
+
+def _delta_window(key: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Delta(n) for each n of one `_pair_windows` window, from its keys
+    (masked to the divisors in place) and starts: the window opened at pair
+    i ends before the first pair j with d_j >= e d_i, searched on K at
+    1 -/+ the band; Delta is the longest."""
     off = key >> 32
-    key &= 0xFFFFFFFF
-    return off, key
+    d = np.bitwise_and(key, 0xFFFFFFFF, out=key)
+    K = off * _KEY_STRIDE + np.log(d)
+    end = np.searchsorted(K, K + (1 - _KEY_BAND))
+    edge = np.searchsorted(K, K + (1 + _KEY_BAND))
+    for i in np.flatnonzero(end != edge).tolist():
+        di = int(d[i])
+        while end[i] < edge[i] and _below_e(di, int(d[end[i]])):
+            end[i] += 1
+    return np.maximum.reduceat(end - np.arange(len(end)), start)
 
 
 def _divisor_spectra(lo: int, hi: int) -> Iterator[DivisorSpectrum]:
-    """The DivisorSpectrum of each n in [lo, hi], ascending, read from the
-    `_pair_keys` of one window at a time: n's divisors run from its d == 1
-    to the next n's, and they become Python ints one n at a time.  The
-    caller checks the range; d < 2^32 holds below DEFAULT_LIMIT_CAP."""
-    for a in range(lo, hi + 1, _PAIR_WINDOW):
-        b = min(a + _PAIR_WINDOW, hi + 1)
-        d = _pair_keys(a, b)
+    """The DivisorSpectrum of each n in [lo, hi], ascending, cut from the
+    `_pair_windows` of [lo, hi + 1): n's divisors become Python ints one n
+    at a time.  The caller checks the range; d < 2^32 holds below
+    DEFAULT_LIMIT_CAP."""
+    for a, d, start in _pair_windows(lo, hi + 1):
         d &= 0xFFFFFFFF
-        starts = np.flatnonzero(d == 1).tolist()
-        for n, s, e in zip(range(a, b), starts, starts[1:] + [len(d)]):
-            divs = tuple(d[s:e].tolist())  # one n's divisors as ints at a time
-            yield DivisorSpectrum(n, divs, tuple(map(math.log, divs)))
-        del d  # before the next window's pairs are made
+        start = start.tolist()
+        for n, s, e in zip(range(a, a + len(start)), start, start[1:] + [len(d)]):
+            yield DivisorSpectrum(n, tuple(d[s:e].tolist()))
+        del d, start  # before the next window's pairs are made
 
 
 def gpf_table(x: int) -> np.ndarray:

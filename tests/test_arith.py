@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from divilab import (
     INFINITE,
+    DomainError,
     Factored,
     ResourceError,
     basic_fns,
@@ -26,6 +27,12 @@ def test_factor_examples(sieve_1e4):
     assert factor(1, sieve_1e4).factors == ()
     assert factor(12, sieve_1e4).factors == ((2, 2), (3, 1))
     assert factor_int(9699690).factors == tuple((p, 1) for p in (2, 3, 5, 7, 11, 13, 17, 19))
+
+
+def test_factor_outside_sieve_range(sieve_1e4):
+    for n in (0, sieve_1e4.limit + 1):
+        with pytest.raises(DomainError, match=f"^n={n} outside sieve range 1..10000$"):
+            factor(n, sieve_1e4)
 
 
 # the `fn --n` inputs of the benchmark's CLI session at seed 41

@@ -219,6 +219,25 @@ def test_multiples_deep_set_exits_0(capsys):
     assert values["method"] == "exact_ie" and Fraction(values["exact"]) == want
 
 
+@pytest.mark.parametrize("family, J, gens", [
+    ("a_lambda:1", 3, [*range(3, 6), *range(8, 15), *range(21, 41)]),  # (e^j, 2 e^j]
+    ("theorem3:1,1,1,1", 2, [*range(17, 33), *range(33, 56)]),  # (16, 32], (32, 32 sqrt 3]
+    ("besicovitch", 2, [*range(5, 9), *range(17, 33)]),  # (4, 8], (16, 32]
+])
+def test_multiples_family(capsys, family, J, gens):
+    # a family's blocks give the record of their integers as plain generators
+    code, out = run(capsys, "multiples", "--family", family, "--J", str(J))
+    assert code == 0
+    assert strip_time(out) == strip_time(run(capsys, "multiples", "--gens",
+                                             ",".join(map(str, gens)))[1])
+
+
+def test_multiples_unknown_family(capsys):
+    code = dispatch(["multiples", "--family", "nope"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (64, "", "usage error: unknown family 'nope'\n")
+
+
 def test_multiples_sequential(capsys):
     code, out = run(capsys, "multiples", "--gens", "2,3,5", "--density", "seq:2,3,5")
     rec = json.loads(out)
@@ -278,6 +297,21 @@ def test_exp_dtheta(capsys):
     code, out = run(capsys, "exp", "--preset", "dtheta", "--theta", "1/3", "--n", "1")
     assert code == 0
     assert json.loads(out)["values"]["argmin_d"] == 1  # the only divisor of 1
+
+
+def test_exp_dtheta_sqrt2(capsys):
+    code, out = run(capsys, "exp", "--preset", "dtheta", "--theta", "sqrt2")
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["params"]["theta"] == "sqrt2"
+    values = rec["values"]
+    # n = 12 by default: 12 sqrt 2 = 16.9706 is the divisor multiple nearest an integer
+    dist = {d: abs(d * math.sqrt(2) - round(d * math.sqrt(2))) for d in (1, 2, 3, 4, 6, 12)}
+    assert (values["n"], values["argmin_d"]) == (12, min(dist, key=dist.get))
+    assert values["min"] == pytest.approx(dist[12], abs=1e-11)
+    # the convergents of sqrt 2 have q_j ~ (1 + sqrt 2)^j, so the exponents fall toward 1
+    growth = values["growth_exponents"]
+    assert len(growth) == 9 and all(a > b > 1 for a, b in zip(growth, growth[1:]))
 
 
 def test_exp_dtheta_nonpositive_n(capsys):

@@ -122,22 +122,6 @@ def test_s_avg_matches_list_oracle(x):
     assert exp.s_avg(x) == sum(map(list_delta, divisor_lists(1, x + 1))) / x
 
 
-@pytest.mark.parametrize("n, want", [(465 * 1264, 12), (2 * 465 * 1264, 14),
-                                     (27 * 536 * 1457, 14)])
-def test_delta_window_band_pairs(n, want):
-    # 1264/465 and 1457/536 are convergents of e whose log gaps, 1 - 8.3e-7
-    # and 1 + 6.5e-7, lie inside the kernel's band, so the integers decide:
-    # 1264 < e 465 stays in the window opened at 465, 1457 > e 536 does not.
-    # At 2 * 465 * 1264 the first pair decides Delta (13 without it), at
-    # 27 * 536 * 1457 the second (15 with it).  The windows start at
-    # 1 mod 2^16, as s_avg's do.
-    a = 1 + (n - 1) // exp._PAIR_WINDOW * exp._PAIR_WINDOW
-    b = a + exp._PAIR_WINDOW
-    got = exp._delta_window(a, b)
-    assert got.tolist() == [list_delta(divs) for divs in divisor_lists(a, b)]
-    assert got[n - a] == want
-
-
 def test_eps_pair_exact():
     e, e1, rho = exp.eps_pair(3, 4, 100)
     assert e.exact == Fraction(1, 4) and e1.exact == Fraction(1, 4) and rho == 1.0

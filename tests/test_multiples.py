@@ -19,6 +19,7 @@ from divilab import (
     criterion4_scan,
     d1,
     density_bracket,
+    factor,
     in_ME,
     is_in_E,
     log_density,
@@ -259,6 +260,19 @@ def test_d1_examples(sieve_1e4):
     assert d1(12, GeneratorSet([4, 6])) == 4
     assert d1(5, GeneratorSet([4, 6])) is INFINITE
     assert d1(36, GeneratorSet(interval=(4, 8))) == 6
+    assert d1(36, GeneratorSet(interval=(4, 8)), f=factor(36, sieve_1e4)) == 6
+    assert d1(12, GeneratorSet([])) is INFINITE
+    assert d1(12, GeneratorSet([]), f=factor(12, sieve_1e4)) is INFINITE
+
+
+def test_d1_matches_trial_division(sieve_1e4):
+    # the smallest divisor in A, with and without a given factorization
+    for A in (GeneratorSet([4, 6, 35]), GeneratorSet(interval=(30, 60)), GeneratorSet([97])):
+        for n in range(1, 3001):
+            hits = [d for d in trial_divisors(n) if d in A.elements]
+            want = hits[0] if hits else INFINITE
+            assert d1(n, A) == want, (A, n)
+            assert d1(n, A, f=factor(n, sieve_1e4)) == d1(n, A), (A, n)
 
 
 def test_criterion4():

@@ -3,9 +3,10 @@ per-prime strided sieves they replaced, also at tiny chunk sizes,
 the tau^+ bitmask kernel against the per-cell builder it replaced, the
 windowed tau table, interval count and nu_distribution against the
 whole-array scans they replaced, the pair walker, the divisor-pair
-kernel, the per-n divisor spectra cut from it and the multiples mask
-against trial division and trial marking,
-and the peak memory of the window scans.
+windows, the Delta kernel and the per-n divisor spectra read from them,
+and the multiples mask against trial division and trial marking, the
+number of pair windows each range kernel reads, and the peak memory of
+the window scans.
 
 The listed sizes straddle the chunk and window boundaries: the chunks of
 `sieve.prime_runs` double up to 1 MB of table (2**20 uint8 or 2**18 int32
@@ -14,6 +15,7 @@ cells) and then advance by it, and the windows of `_windows` advance by
 inside capped chunks and on either side of a window's end.
 """
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -23,13 +25,22 @@ import pytest
 
 from divilab import DomainError, ResourceError, psi1_count
 from divilab.errors import DEFAULT_SCAN_CAP
-from divilab.experiments import h_count, nu_distribution, omega_median_count
+from divilab.experiments import (
+    dtheta_exponent_stats,
+    golden_ratio_fraction,
+    h_count,
+    nu_distribution,
+    omega_median_count,
+    s_avg,
+)
 import divilab.sieve as sieve_mod
 from divilab.sieve import SpfSieve
 import divilab.tables as tables_mod
 from divilab.tables import (
-    _divisor_pairs,
+    _PAIR_WINDOW,
+    _delta_window,
     _divisor_spectra,
+    _pair_windows,
     _pairs,
     _quotients,
     e_set_mask,
@@ -45,6 +56,8 @@ from oracles import (
     divisor_lists,
     hyperbola_tau_table,
     interval_multiples_hits,
+    list_delta,
+    list_dtheta_exponents,
     sieve_gpf_table,
     sieve_omega_table,
     sieve_psi1_mask,
@@ -230,12 +243,14 @@ def test_pairs_walk_each_run_once(a, b):
 @pytest.mark.parametrize("a, b", [(1, 2), (1, 3000), (10**6 - 300, 10**6 + 300),
                                   (3 * 10**6, 3 * 10**6 + 2**16)])
 def test_divisor_pairs_match_divisor_lists(a, b):
-    off, d = _divisor_pairs(a, b)
-    assert off.dtype == d.dtype == np.int64
+    # one window: its keys split into n - a and d, and each n's first key
+    (w, key, start), = _pair_windows(a, b)
+    assert w == a and key.dtype == start.dtype == np.int64
     got = [[] for _ in range(b - a)]
-    for i, di in zip(off.tolist(), d.tolist()):
+    for i, di in zip((key >> 32).tolist(), (key & 0xFFFFFFFF).tolist()):
         got[i].append(di)
     assert got == divisor_lists(a, b)
+    assert start.tolist() == list(itertools.accumulate(map(len, got[:-1]), initial=0))
     if b - a <= 600:
         assert got == [trial_divisors(n) for n in range(a, b)]
 
@@ -256,6 +271,57 @@ def test_divisor_spectra_cross_windows(window, monkeypatch):
     monkeypatch.setattr(tables_mod, "_PAIR_WINDOW", window)
     got = [spec.divisors for spec in _divisor_spectra(3, 200)]
     assert got == [tuple(trial_divisors(n)) for n in range(3, 201)]
+
+
+@pytest.mark.parametrize("window", [1, 7, 64])
+def test_pair_window_reach(window, monkeypatch):
+    # every range kernel walks its range in windows of the patched size,
+    # ceil(length / window) of them, and is exact across their edges
+    monkeypatch.setattr(tables_mod, "_PAIR_WINDOW", window)
+    reads = []
+    pair_keys = tables_mod._pair_keys
+
+    def spy(a, b):
+        reads.append((a, b))
+        return pair_keys(a, b)
+    monkeypatch.setattr(tables_mod, "_pair_keys", spy)
+
+    def windows(lo, hi):  # read by the call since the last one, for [lo, hi]
+        assert reads[0][0] == lo and reads[-1][1] == hi + 1
+        assert all(b - a <= window for a, b in reads)
+        count = len(reads)
+        reads.clear()
+        return count
+
+    x = 200
+    assert s_avg(x) == sum(map(list_delta, divisor_lists(1, x + 1))) / x
+    assert windows(1, x) == -(-x // window)
+    lo, hi, theta = 2, 200, golden_ratio_fraction()
+    vals = np.sort(np.asarray(list_dtheta_exponents(lo, hi, theta)))
+    assert dtheta_exponent_stats(lo, hi, theta) == (float(vals[len(vals) // 2]),
+                                                     float(vals.mean()))
+    assert windows(lo, hi) == -(-(hi - lo + 1) // window)
+    lo, hi = 3, 150
+    got = [list(spec.divisors) for spec in _divisor_spectra(lo, hi)]
+    assert got == divisor_lists(lo, hi + 1)
+    assert windows(lo, hi) == -(-(hi - lo + 1) // window)
+
+
+@pytest.mark.parametrize("n, want", [(465 * 1264, 12), (2 * 465 * 1264, 14),
+                                     (27 * 536 * 1457, 14)])
+def test_delta_window_band_pairs(n, want):
+    # 1264/465 and 1457/536 are convergents of e whose log gaps, 1 - 8.3e-7
+    # and 1 + 6.5e-7, lie inside the kernel's band, so the integers decide:
+    # 1264 < e 465 stays in the window opened at 465, 1457 > e 536 does not.
+    # At 2 * 465 * 1264 the first pair decides Delta (13 without it), at
+    # 27 * 536 * 1457 the second (15 with it).  The windows start at
+    # 1 mod 2^16, as s_avg's do.
+    a = 1 + (n - 1) // _PAIR_WINDOW * _PAIR_WINDOW
+    b = a + _PAIR_WINDOW
+    (_, key, start), = _pair_windows(a, b)
+    got = _delta_window(key, start)
+    assert got.tolist() == [list_delta(divs) for divs in divisor_lists(a, b)]
+    assert got[n - a] == want
 
 
 @pytest.mark.parametrize("x", [1, 2, 3, 10, 99, 100, 101, 2000])
