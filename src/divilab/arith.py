@@ -147,7 +147,7 @@ class DivisorSpectrum:
     @property
     def logs(self) -> tuple[float, ...]:
         """Natural logarithms of the divisors, computed on each read: only the
-        window statistics and E_r read them."""
+        window statistics read them."""
         return tuple(map(math.log, self.divisors))
 
 

@@ -217,14 +217,72 @@ def tau_plus(spec: DivisorSpectrum) -> int:
 
 
 def e_r(spec: DivisorSpectrum, r: int) -> float:
-    """Minimal log-gap between divisors r apart in sorted order."""
+    """Minimal log-gap between divisors r apart in sorted order: the least
+    ratio d_(j+r) / d_j is found in integers and its log correctly rounded
+    (`_log_ratio`), where a difference of two float logs would cancel."""
     if r < 1:
         raise DomainError(f"need r >= 1, got {r}")
     tau = spec.tau
     if tau <= r:
         raise DomainError(f"E_r undefined: tau({spec.n}) = {tau} <= r = {r}")
-    logs = spec.logs
-    return min(logs[j + r] - logs[j] for j in range(tau - r))
+    d = spec.divisors
+    lo, hi = d[0], d[r]
+    for a, b in zip(d, d[r:]):
+        if b * lo < hi * a:  # b / a < hi / lo, in integers
+            lo, hi = a, b
+    return _log_ratio(lo, hi)
+
+
+# floor(ln(i / 16) 2^128) for i = 16..32, checked against `decimal` in tests
+_LN_16THS = (
+    0x00000000000000000000000000000000, 0x0F85186008B15330BE64B8B775997898,
+    0x1E27076E2AF2E5E9EA87FFE1FE9E155D, 0x2BFE60E14F27A790E7C4140E424775FC,
+    0x391FEF8F353443584BB03DE5FF734495, 0x459D72AEAE98380E731F55C41B8B823F,
+    0x51862F08717B09F42DECDECCF1CD1057, 0x5CE75FDAEF401A7389314FEB4FBDE5AA,
+    0x67CC8FB2FE612FCADA35D9BD01488606, 0x723FDF1E6A6886B097607BCBFEE6892B,
+    0x7C4A3D7EBC1BB2CD720EC44C73D75CF5, 0x85F39721295415B4C4BDD99EFFE69B64,
+    0x8F42FAF3820681EF62CD2F9F1E35F2E7, 0x983EB99A7885F0FDAC850FAB36CDEE18,
+    0xA0EC7F423395732325E617A300BBCA9C, 0xA9516932DE2D5773BE4578AD97AEA7BE,
+    0xB17217F7D1CF79ABC9E3B39803F2F6AF,
+)
+_LOG_GUARD = 72  # fixed-point bits below the leading bit of ln(hi / lo)
+
+
+def _log_ratio(lo: int, hi: int) -> float:
+    """ln(hi / lo) for integers hi > lo >= 1, correctly rounded.  With
+    2^k <= hi / lo < 2^(k+1) and i = 16..32 nearest to 16 hi / (lo 2^k),
+    ln(hi / lo) = k ln 2 + ln(i / 16) + 2 atanh(z), z = (16 hi - i lo 2^k)
+    / (16 hi + i lo 2^k), |z| <= 1/64.  The series is summed in fixed point
+    `_LOG_GUARD` bits below the value's leading bit; each truncation, and
+    each table entry, is off by under one unit.  The float is returned when
+    both ends of that bound round to it; otherwise (about 2^-20 of calls)
+    `decimal` takes the log at 60 digits."""
+    k = (hi // lo).bit_length() - 1
+    i = round(math.ldexp(16 * hi / lo, -k))
+    a, b = hi << 4, (lo * i) << k
+    num, den = abs(a - b), a + b
+    near = k == 0 and i == 16  # then ln(hi / lo) = 2 atanh(z) may be tiny
+    prec = _LOG_GUARD + (den.bit_length() - num.bit_length() if near else 6)
+    z = (num << prec) // den
+    z2 = z * z >> prec
+    term = total = z
+    j = 1
+    while term:
+        term = term * z2 >> prec
+        j += 2
+        total += term // j
+    s = 2 * total if a >= b else -2 * total
+    err = j + 10
+    if not near:  # ln(hi / lo) >= ln(33/32) > 2^-6
+        shift = 128 - prec
+        s += (_LN_16THS[i - 16] >> shift) + k * (_LN_16THS[16] >> shift)
+        err += k + 1
+    one = 1 << prec
+    v = (s - err) / one
+    if v == (s + err) / one:
+        return v
+    import decimal  # only here, where the bound leaves the rounding open
+    return float(decimal.Context(prec=60).divide(hi, lo).ln())
 
 
 def g_sum(spec: DivisorSpectrum) -> float:

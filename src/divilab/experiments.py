@@ -211,23 +211,31 @@ class PPlusStats:
 def pplus_adjacency(x: int) -> PPlusStats:
     """Adjacency statistics of P^+ at consecutive arguments: the fraction of
     n <= x with P^+(n+1) > P^+(n), descending triples, and the histogram of
-    log(P^+(n+1)/P^+(n)) / log n."""
+    log(P^+(n+1)/P^+(n)) / log n.  Only the P^+ table spans the range: the
+    comparisons and the floats are made per `_windows` window."""
     if x < 2:
         raise DomainError(f"need x >= 2, got {x}")
     gpf = gpf_table(x + 2)
-    a, b, c = gpf[1:x + 1], gpf[2:x + 2], gpf[3:x + 3]
-    frac_up = float(np.count_nonzero(b > a)) / x
-    triple = (a > b) & (b > c)
-    n_triple = int(np.count_nonzero(triple))
-    first = int(np.flatnonzero(triple)[0]) + 1 if n_triple else None
     bins = np.linspace(-1.0, 1.0, 41)
     counts = np.zeros(len(bins) - 1, dtype=np.int64)
-    for lo, hi in _windows(2, x + 1):  # windows bound the float64 temporaries
-        n = np.arange(lo, hi, dtype=np.float64)
-        ratio = gpf[lo + 1:hi + 1].astype(np.float64) / gpf[lo:hi].astype(np.float64)
-        alpha = np.log(ratio) / np.log(n)
-        counts += np.histogram(np.clip(alpha, -1.0, 1.0), bins=bins)[0]
-    return PPlusStats(x, frac_up, n_triple / x, first,
+    n_up = n_triple = 0
+    first = None
+    for lo, hi in _windows(1, x + 1):
+        a, b, c = gpf[lo:hi], gpf[lo + 1:hi + 1], gpf[lo + 2:hi + 2]
+        n_up += int(np.count_nonzero(b > a))
+        triple = a > b
+        triple &= b > c
+        n_triple += int(np.count_nonzero(triple))
+        if first is None and triple.any():
+            first = lo + int(np.argmax(triple))
+        s = max(lo, 2)
+        alpha = np.divide(gpf[s + 1:hi + 1], gpf[s:hi], dtype=np.float64)
+        np.log(alpha, out=alpha)
+        log_n = np.arange(s, hi, dtype=np.float64)
+        alpha /= np.log(log_n, out=log_n)
+        counts += np.histogram(np.clip(alpha, -1.0, 1.0, out=alpha), bins=bins)[0]
+        del triple, alpha, log_n  # before the next window's are made
+    return PPlusStats(x, n_up / x, n_triple / x, first,
                       tuple(map(float, bins)), tuple(int(v) for v in counts))
 
 

@@ -1,11 +1,12 @@
 """Vectorized whole-range tables for counting scans up to ~10^8.
 
-Prime-factor tables (omega, Omega, P^+) need no SPF array: they walk
-n = 2..x with `sieve.prime_runs`, which hands each chunk [lo, hi) its
+The multiplicative tables (tau, omega, Omega, P^+) need no SPF array: they
+walk n = 2..x with `sieve.prime_runs`, which hands each chunk [lo, hi) its
 primes p <= sqrt(hi - 1), largest first, with their cofactors m < lo.  Each
-prime fills its multiples p m from the finished t[m] in one strided write.
-The recurrences hold for every prime p | n, so whichever write to n comes
-last is right; primes keep their initial value.
+prime fills its multiples p m from the finished t[m] in one strided write,
+and tau also reads t[m / p] where p | m.  The recurrences hold for every
+prime p | n, so whichever write to n comes last is right; primes keep their
+initial value.
 
 Single counts up to x (`arith.psi1_count`,
 `experiments.omega_median_count`) need no table: they come from recurrences
@@ -13,18 +14,19 @@ over the about 2 sqrt(x) values floor(x/i) (`_quotients`), as in the
 Legendre / Meissel-Lehmer method, with prime counts from Lucy's sieve
 (`_prime_pi`).
 
-Divisor-indexed tables share one pair walker, `_pairs`: in a window [a, b),
+Divisor-indexed scans share one pair walker, `_pairs`: in a window [a, b),
 every divisor pair n = d m is seen once, from its side d <= sqrt(b), in one
 strided slice of the multiples of d, split where m crosses sqrt(b) so that
 the part with m > sqrt(b) also counts m.  The divisor scans walk [1, x] in
 the L2-sized windows of `_windows`, as slices over a whole x-sized table
-would stride through all of it once per divisor.  Per-n statistics read
-every (n, d) with d | n in a window of 2^16 integers as one sorted int64
-key per pair (`_pair_keys`).  `_pair_windows` is the one walk over such
-windows, and it gives where each n's keys start.  `_delta_window` reads
-Delta(n) from them for `s_avg`, `experiments.dtheta_exponent_stats` its
-per-n minima, and `_divisor_spectra` one sorted divisor list per n for
-`fn --range`.
+would stride through all of it once per divisor; `_count_divisors` counts
+tau per window only for `experiments.nu_distribution`, which builds no
+x-sized table.  Per-n statistics read every (n, d) with d | n in a window
+of 2^16 integers as one sorted int64 key per pair (`_pair_keys`).
+`_pair_windows` is the one walk over such windows, and it gives where each
+n's keys start.  `_delta_window` reads Delta(n) from them for `s_avg`,
+`experiments.dtheta_exponent_stats` its per-n minima, and
+`_divisor_spectra` one sorted divisor list per n for `fn --range`.
 
 Scans partition cleanly over segments with associative merges; results are
 deterministic and independent of partitioning.
@@ -44,9 +46,9 @@ from .errors import DEFAULT_SCAN_CAP, DomainError, ResourceError
 from .sieve import prime_runs, primes_upto
 
 # Entries per window of `_windows`; 2^20 uint16 tau entries fill a 2 MB L2.  At
-# 1e7, windows of 2^18 / 2^19 / 2^20 took 150 / 105 / 93 ms (tau table), 25.7 /
-# 17.7 / 13.7 ms (h_count), 183 / 140 / 155 ms (tauplus_window) and 351 / 267 /
-# 266 ms (nu_distribution), median of 5 calls, 2-vCPU VM.
+# 1e7, windows of 2^18 / 2^19 / 2^20 took 25.7 / 17.7 / 13.7 ms (h_count),
+# 183 / 140 / 155 ms (tauplus_window) and 351 / 267 / 266 ms (nu_distribution),
+# median of 5 calls, 2-vCPU VM.
 _WINDOW = 1 << 20
 
 
@@ -130,18 +132,24 @@ def _pairs(a: int, b: int, lo: int = 1, hi: int | None = None):
 def _count_divisors(t: np.ndarray, a: int) -> np.ndarray:
     """Add tau(n) to t[n - a] for every n in [a, a + len(t)), one strided
     slice per `_pairs` piece: 1 for d, 2 where m is a second divisor;
-    returns t."""
+    returns t.  Unlike `tau_table`, it needs no table below a."""
     for d, m0, m1, big in _pairs(a, a + len(t)):
         t[d * m0 - a:d * m1 - a + 1:d] += 1 + big
     return t
 
 
 def tau_table(x: int) -> np.ndarray:
-    """tau(n) for 0..x (index 0 unused)."""
+    """tau(n) for 0..x (index 0 unused), from tau(p m) = 2 tau(m) -
+    [p | m] tau(m / p) for every prime p: with m = p^(k-1) r, p not dividing
+    r, both sides are (k + 1) tau(r).  Primes keep their initial 2."""
     _check_cap(x)
-    tau = np.zeros(x + 1, dtype=np.uint16)
-    for a, b in _windows(1, x + 1):
-        _count_divisors(tau[a:b], a)
+    tau = np.full(x + 1, 2, dtype=np.uint16)
+    tau[:2] = 0, 1
+    for p, m0, m1 in prime_runs(x, tau.itemsize):
+        t = tau[m0:m1 + 1]
+        run = tau[p * m0:p * m1 + 1:p]
+        np.add(t, t, out=run)
+        run[-m0 % p::p] -= tau[-(-m0 // p):m1 // p + 1]  # the n = p m with p | m
     return tau
 
 
@@ -234,18 +242,23 @@ _KEY_BAND = 1e-6
 def _delta_window(key: np.ndarray, start: np.ndarray) -> np.ndarray:
     """Delta(n) for each n of one `_pair_windows` window, from its keys
     (masked to the divisors in place) and starts: the window opened at pair
-    i ends before the first pair j with d_j >= e d_i, searched on K at
-    1 -/+ the band; Delta is the longest."""
+    i ends before the first pair j with d_j >= e d_i.  One search on K at
+    1 - the band finds end[i]; only a pair whose K[end[i]] is still below
+    K[i] + 1 + the band walks on, while `_below_e` holds.  Delta is the
+    longest window."""
+    n = len(key)
     off = key >> 32
     d = np.bitwise_and(key, 0xFFFFFFFF, out=key)
-    K = off * _KEY_STRIDE + np.log(d)
-    end = np.searchsorted(K, K + (1 - _KEY_BAND))
-    edge = np.searchsorted(K, K + (1 + _KEY_BAND))
-    for i in np.flatnonzero(end != edge).tolist():
-        di = int(d[i])
-        while end[i] < edge[i] and _below_e(di, int(d[end[i]])):
+    K = np.empty(n + 1)
+    np.add(off * _KEY_STRIDE, np.log(d), out=K[:n])
+    K[n] = np.inf  # the gather K[end] reads it where end = n
+    end = np.searchsorted(K, K[:n] + (1 - _KEY_BAND))
+    top = K[:n] + (1 + _KEY_BAND)
+    for i in np.flatnonzero(K[end] < top).tolist():
+        di, ti = int(d[i]), top[i]
+        while K[end[i]] < ti and _below_e(di, int(d[end[i]])):
             end[i] += 1
-    return np.maximum.reduceat(end - np.arange(len(end)), start)
+    return np.maximum.reduceat(end - np.arange(n), start)
 
 
 def _divisor_spectra(lo: int, hi: int) -> Iterator[DivisorSpectrum]:

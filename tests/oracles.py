@@ -7,16 +7,17 @@ kernel replaced, trial marking of multiples, midpoint quadrature, the
 per-prime strided numpy sieves that the SPF recurrence replaced, the
 per-cell tau^+ builder that the divisor bitmask replaced, the whole-array
 tau table, interval mask and nu_distribution that the window walk replaced,
-the full Eratosthenes sieve that the odds-only one replaced, the unsegmented
+the x-sized P^+ adjacency masks that its window walk replaced, the
+full Eratosthenes sieve that the odds-only one replaced, the unsegmented
 SPF sieve, the subset-walk Bonferroni bracket, the per-prime local-law e_j
 sweep that the column-wise DP replaced, the k-th-divisor Monte Carlo
 sampler over all n that drawing only the multiples of d replaced, the
 truncated friable sum with its Rankin tail that m(y) came from, and the
 recursive valuation DP that reduced each branch level's whole state, which
 the explicit-stack engine replaced, the transfer product over a path of
-prime products, and the log zeta series in `decimal`
-that the literals of Mertens' A and sum_p 1/(p(p-1)) are checked against.
-Slow on purpose.
+prime products, E_r as a `decimal` ln of the least exact ratio, and the
+log zeta series in `decimal` that the literals of Mertens' A and
+sum_p 1/(p(p-1)) are checked against.  Slow on purpose.
 """
 
 import math
@@ -208,6 +209,16 @@ def naive_e_r(n, r):
     divs = trial_divisors(n)
     assert len(divs) > r
     return min(math.log(divs[j + r] / divs[j]) for j in range(len(divs) - r))
+
+
+def decimal_e_r(divs, r, digits=40):
+    """E_r from ascending divisors: ln of the least ratio d_(j+r) / d_j,
+    found as a Fraction, in `decimal` at the given digits."""
+    import decimal
+    from fractions import Fraction
+    q = min(Fraction(b, a) for a, b in zip(divs, divs[r:]))
+    with decimal.localcontext(prec=digits) as ctx:
+        return (ctx.divide(q.numerator, q.denominator)).ln()
 
 
 def naive_g(n):
@@ -584,6 +595,30 @@ def sieve_gpf_table(x):
     return gpf
 
 
+def mask_pplus_adjacency(x):
+    """(x, frac_up, frac_triple_down, first_triple_down, alpha_bins,
+    alpha_counts) of `experiments.pplus_adjacency` from x-sized masks over
+    the whole P^+ table, the route its window walk replaced; the histogram
+    is taken in windows of 2^20 from n = 2, which bound the float64
+    temporaries."""
+    gpf = sieve_gpf_table(x + 2)
+    a, b, c = gpf[1:x + 1], gpf[2:x + 2], gpf[3:x + 3]
+    frac_up = float(np.count_nonzero(b > a)) / x
+    triple = (a > b) & (b > c)
+    n_triple = int(np.count_nonzero(triple))
+    first = int(np.flatnonzero(triple)[0]) + 1 if n_triple else None
+    bins = np.linspace(-1.0, 1.0, 41)
+    counts = np.zeros(len(bins) - 1, dtype=np.int64)
+    for lo in range(2, x + 1, 1 << 20):
+        hi = min(lo + (1 << 20), x + 1)
+        n = np.arange(lo, hi, dtype=np.float64)
+        ratio = gpf[lo + 1:hi + 1].astype(np.float64) / gpf[lo:hi].astype(np.float64)
+        alpha = np.log(ratio) / np.log(n)
+        counts += np.histogram(np.clip(alpha, -1.0, 1.0), bins=bins)[0]
+    return (x, frac_up, n_triple / x, first, tuple(map(float, bins)),
+            tuple(int(v) for v in counts))
+
+
 def sieve_psi1_mask(x, y):
     """Mask on 0..x of the squarefree n whose prime factors are all <= y."""
     ok = np.ones(x + 1, dtype=bool)
@@ -631,8 +666,9 @@ def interval_multiples_hits(x, lo_d, hi_d):
 
 def hyperbola_tau_table(x):
     """tau on 0..x over the whole array at once: +1 on the multiples of each
-    d <= sqrt(x), and on m d for d > sqrt(x) along each cofactor m.  The
-    windowed `tables.tau_table` replaced it."""
+    d <= sqrt(x), and on m d for d > sqrt(x) along each cofactor m.  A
+    windowed walk of the same pairs replaced it, and the prime-run
+    recurrence of `tables.tau_table` replaced that."""
     tau = np.zeros(x + 1, dtype=np.uint16)
     D = math.isqrt(x)
     for d in range(1, D + 1):

@@ -417,8 +417,10 @@ FN_VALUES = {
     19500001: ("1", "1", "4", "0.0192787169601", "4.67282883446", "16.7859250748", "0"),
     39500001: ("4", "2", "23", "18.7553832973", "0.0546719990329", "0.815036998169",
                "0.53125"),
-    # 6323 * 6329, 9973^2, a prime and the cap, as the window route printed them
-    40018267: ("2", "2", "3", "0.999368288487", "0.000948466716691", "17.5048465828", "0.25"),
+    # 6323 * 6329, 9973^2, a prime and the cap, as the window route printed
+    # them, but E_1(6323 * 6329) = ln(6329/6323) = 0.00094846671669215..., which
+    # a difference of float logs printed as 0.000948466716691
+    40018267: ("2", "2", "3", "0.999368288487", "0.000948466716692", "17.5048465828", "0.25"),
     99460729: ("1", "1", "3", "0.000200541461947", "9.2076367204", None, "0"),
     39999983: ("1", "1", "2", "2.5000010625e-08", "17.5043895871", None, "0"),
     DEFAULT_LIMIT_CAP: ("9", "2", "30", "80.8545", "0.0237165266173", "0.246860077932",

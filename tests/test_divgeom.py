@@ -1,4 +1,6 @@
 import math
+import random
+from decimal import Context, Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -22,9 +24,12 @@ from divilab import (
     u_stat,
 )
 from divilab import divgeom
+from divilab.arith import factor_int
 
 from oracles import (
     below_e,
+    decimal_e_r,
+    divisor_lists,
     naive_delta,
     naive_delta_osc,
     naive_e_r,
@@ -32,6 +37,7 @@ from oracles import (
     naive_g,
     naive_mu,
     naive_tau_plus,
+    trial_divisors,
 )
 
 
@@ -168,6 +174,37 @@ def test_window_end_near_e_is_exact(monkeypatch):
     monkeypatch.setattr(divgeom, "_E_NUM", sum(den // math.factorial(k) for k in range(11)))
     with pytest.raises(ResourceError):
         delta(spec)
+
+
+@pytest.mark.parametrize("r", [1, 3])
+def test_e_r_matches_decimal_ln(r):
+    """E_r is the 40-digit ln of the least ratio d_(j+r) / d_j, rounded to
+    the nearest float, for n <= 2 * 10^4 and at n = 233772, 6556287 and
+    7275171: at 10506 (ratio 103/102) and 233772 (484/483) a difference of
+    float logs is off by 283 and 2003 ulp, and at 6556287 (3/1) and 7275171
+    log1p of the exact ratio minus 1 is off by 1 ulp."""
+    extra = [233772, 6556287, 7275171]
+    ns = list(range(2, 2 * 10**4 + 1)) + extra
+    lists = divisor_lists(2, 2 * 10**4 + 1) + [trial_divisors(n) for n in extra]
+    for n, divs in zip(ns, lists):
+        if len(divs) > r:
+            assert e_r(divisors(factor_int(n)), r) == float(decimal_e_r(divs, r)), n
+
+
+def test_log_ratio_decides_near_ties_in_decimal(monkeypatch):
+    # 2 guard bits leave most roundings open, so `decimal` decides them
+    ctx = Context(prec=60)
+    assert divgeom._LN_16THS == tuple(int(ctx.multiply(ctx.ln(ctx.divide(i, 16)), 2**128))
+                                      for i in range(16, 33))
+    rng = random.Random(5)
+    pairs = [(1, 2), (1, 3), (102, 103), (483, 484), (32, 33), (31, 32), (2**40 - 1, 2**41),
+             (1, 10**9 + 7)]
+    pairs += [(a, a + rng.randrange(1, 10**rng.randrange(1, 12)))
+              for a in (rng.randrange(1, 10**9) for _ in range(300))]
+    for guard in (2, 20, divgeom._LOG_GUARD):
+        monkeypatch.setattr(divgeom, "_LOG_GUARD", guard)
+        for lo, hi in pairs:
+            assert divgeom._log_ratio(lo, hi) == float(decimal_e_r([lo, hi], 1)), (lo, hi)
 
 
 def test_invariant_bounds(sieve_1e4):

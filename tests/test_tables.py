@@ -1,20 +1,22 @@
 """The prime-factor tables and the quotient-recurrence counts against the
 per-prime strided sieves they replaced, also at tiny chunk sizes,
 the tau^+ bitmask kernel against the per-cell builder it replaced, the
-windowed tau table, interval count and nu_distribution against the
-whole-array scans they replaced, the pair walker, the divisor-pair
-windows, the Delta kernel and the per-n divisor spectra read from them,
-and the multiples mask against trial division and trial marking, the
-number of pair windows each range kernel reads, and the peak memory of
-the window scans.
+prime-run tau table, the windowed interval count, nu_distribution and
+P^+ adjacency against the whole-array scans they replaced, the pair
+walker, the divisor-pair windows, the Delta kernel and the per-n divisor
+spectra read from them, and the multiples mask against trial division
+and trial marking, the number of pair windows each range kernel reads,
+and the peak memory of the window scans.
 
 The listed sizes straddle the chunk and window boundaries: the chunks of
-`sieve.prime_runs` double up to 1 MB of table (2**20 uint8 or 2**18 int32
-cells) and then advance by it, and the windows of `_windows` advance by
-2**20 from 1, so x = 2**20 - 1, 2**20 + 3, 2**21 + 3 and 3 * 2**20 + 7 end
-inside capped chunks and on either side of a window's end.
+`sieve.prime_runs` double up to 1 MB of table (2**20 uint8, 2**19 uint16
+or 2**18 int32 cells) and then advance by it, and the windows of
+`_windows` advance by 2**20 from 1, so x = 2**20 - 1, 2**20 + 3,
+2**21 + 3 and 3 * 2**20 + 7 end inside capped chunks and on either side
+of a window's end.
 """
 
+import dataclasses
 import itertools
 import math
 import random
@@ -31,6 +33,7 @@ from divilab.experiments import (
     h_count,
     nu_distribution,
     omega_median_count,
+    pplus_adjacency,
     s_avg,
 )
 import divilab.sieve as sieve_mod
@@ -54,10 +57,12 @@ from divilab.tables import (
 from oracles import (
     cell_tauplus_table,
     divisor_lists,
+    eratosthenes_primes,
     hyperbola_tau_table,
     interval_multiples_hits,
     list_delta,
     list_dtheta_exponents,
+    mask_pplus_adjacency,
     sieve_gpf_table,
     sieve_omega_table,
     sieve_psi1_mask,
@@ -162,6 +167,7 @@ def test_window_scans_raise_past_scan_cap_before_any_work(monkeypatch):
         raise AssertionError("scan started")
 
     monkeypatch.setattr(exp, "_map_chunks", refuse)
+    monkeypatch.setattr(tables_mod, "prime_runs", refuse)
     x = DEFAULT_SCAN_CAP + 1
     for scan, args in ((exp.t_sum, (x, 2)), (h_count, (x, 1000, 2000)), (nu_distribution, (x,)),
                        (tau_table, (x,))):
@@ -308,13 +314,16 @@ def test_pair_window_reach(window, monkeypatch):
 
 
 @pytest.mark.parametrize("n, want", [(465 * 1264, 12), (2 * 465 * 1264, 14),
-                                     (27 * 536 * 1457, 14)])
+                                     (27 * 536 * 1457, 14), (286 * 465 * 1264, 42)])
 def test_delta_window_band_pairs(n, want):
     # 1264/465 and 1457/536 are convergents of e whose log gaps, 1 - 8.3e-7
     # and 1 + 6.5e-7, lie inside the kernel's band, so the integers decide:
     # 1264 < e 465 stays in the window opened at 465, 1457 > e 536 does not.
     # At 2 * 465 * 1264 the first pair decides Delta (13 without it), at
-    # 27 * 536 * 1457 the second (15 with it).  The windows start at
+    # 27 * 536 * 1457 the second (15 with it).  286 * 465 * 1264 is the
+    # 65055th n of its window, where K rounds coarsest: the search at 1 - the
+    # band stops at 286 * 1264, whose K is inside the band, and `_below_e`
+    # admits it from 286 * 465 (Delta 41 without it).  The windows start at
     # 1 mod 2^16, as s_avg's do.
     a = 1 + (n - 1) // _PAIR_WINDOW * _PAIR_WINDOW
     b = a + _PAIR_WINDOW
@@ -331,9 +340,19 @@ def test_tau_table_matches_trial_division(x):
     assert tau.tolist() == [0] + [len(trial_divisors(n)) for n in range(1, x + 1)]
 
 
-@pytest.mark.parametrize("x", XS[-4:])
-def test_tau_table_matches_whole_array_walk(x):
-    _same(tau_table(x), hyperbola_tau_table(x))
+@pytest.mark.parametrize("x", [2**19 - 1, 2**19, 2**19 + 1, 3**12, 7**7, *XS[-4:]])
+def test_tau_table_matches_whole_array_walk(x, monkeypatch):
+    # the uint16 table fills in chunks of 2**19 entries, and x = 3**12 and
+    # 7**7 end on a prime power, where only the [p | m] term makes
+    # tau(p^k) = k + 1; the walk reads no divisor pairs
+    def refuse(*args):
+        raise AssertionError("divisor pairs walked")
+    monkeypatch.setattr(tables_mod, "_pairs", refuse)
+    tau = tau_table(x)
+    _same(tau, hyperbola_tau_table(x))
+    for p in eratosthenes_primes(math.isqrt(x)).tolist():
+        powers = [p**k for k in range(1, int(math.log(x, p)) + 2) if p**k <= x]
+        assert tau[powers].tolist() == list(range(2, len(powers) + 2)), p
 
 
 @pytest.mark.parametrize("x", XS[-4:])
@@ -374,6 +393,20 @@ def test_h_count_builds_no_whole_range_mask():
 def test_nu_distribution_builds_no_whole_range_table():
     x = 2**23  # whole uint8 tau^+ and uint16 tau tables take 3 bytes per n
     assert _peak_bytes(nu_distribution, x) < 4 * x
+
+
+@pytest.mark.parametrize("x", [2, 3, 10, 1000, 2**20 + 3, 2**21 + 3, 10**6, 10**7])
+def test_pplus_adjacency_matches_mask_oracle(x):
+    assert dataclasses.astuple(pplus_adjacency(x)) == mask_pplus_adjacency(x)
+
+
+def test_pplus_adjacency_builds_no_whole_range_mask(monkeypatch):
+    # past the int32 P^+ table on 0..x + 2, only a window's masks and floats:
+    # with windows of 2**16 they peak at 0.2 x bytes, where the x-sized masks
+    # of `oracles.mask_pplus_adjacency` took 2.3 x
+    monkeypatch.setattr(tables_mod, "_WINDOW", 1 << 16)
+    x = 2**23
+    assert _peak_bytes(pplus_adjacency, x) < 4 * (x + 3) + x // 2
 
 
 def test_interval_multiples_hits_matches_trial_marking():
