@@ -144,12 +144,6 @@ class DivisorSpectrum:
     def tau(self) -> int:
         return len(self.divisors)
 
-    @property
-    def logs(self) -> tuple[float, ...]:
-        """Natural logarithms of the divisors, computed on each read: only the
-        window statistics read them."""
-        return tuple(map(math.log, self.divisors))
-
 
 def divisors(f: Factored) -> DivisorSpectrum:
     """Divisor spectrum of f, generated by exponent-vector products then sorted."""

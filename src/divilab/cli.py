@@ -187,7 +187,6 @@ def _build_parser() -> _Parser:
                    choices=("median-primes", "nu", "pplus", "erdos-kac", "constants",
                             "tsum", "eps", "totients", "dtheta"))
     s.add_argument("--x", type=int, default=100_000)
-    s.add_argument("--seed", type=int)
     s.add_argument("--threads", type=int, default=None)
     s.add_argument("--k", help="k values, comma separated (median-primes)")
     s.add_argument("--y", type=int)

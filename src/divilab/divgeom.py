@@ -1,22 +1,21 @@
 """Per-integer divisor-structure statistics.
 
 All window suprema are computed combinatorially over contiguous runs of the
-sorted divisors.  A run i..j is admissible iff d_j < e d_i; equality never
-holds since e is irrational.  The float gap log d_j - log d_i decides it
-outside a guard band of 1e-12 around 1: below 2^63 each log is within one
-ulp (7e-15) of the truth.  Inside the band the integers decide it against a
-rational enclosure E_LO < e < E_HI of about 60 digits; by the irrationality
-measure of e no integers d, d' < 2^64 have d E_LO < d' < d E_HI.
+sorted divisors.  A run i..j is admissible iff d_j < e d_i, that is iff
+d_j <= floor(e d_i), as e d_i is irrational.  The integers decide it: for
+the first convergent p/q of e with q > d, floor(e d) = p d // q, since no
+fraction m/d with d < q lies between p/q and e or equals p/q.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
 from typing import Callable, Sequence
 
 from .arith import DivisorSpectrum, Factored
-from .errors import DomainError, ResourceError
+from .errors import DEFAULT_LIMIT_CAP, DomainError
 
 
 # ---------------------------------------------------------------------------
@@ -151,45 +150,36 @@ class RatioWeight:
 # ---------------------------------------------------------------------------
 # window statistics
 
-# e = sum 1/k!, and the tail past k = N is below 1/(N! N):
-# E_LO = _E_NUM/_E_DEN <= e < E_HI = (_E_NUM N + 1)/(_E_DEN N), width 8e-62.
-_E_TERMS = 47
-_E_DEN = math.factorial(_E_TERMS)
-_E_NUM = sum(_E_DEN // math.factorial(k) for k in range(_E_TERMS + 1))
-_BAND_LO, _BAND_HI = 1.0 - 1e-12, 1.0 + 1e-12
+def _e_convergent(bound: int) -> tuple[int, int]:
+    """The first convergent p/q of e = [2; 1, 2, 1, 1, 4, 1, 1, 6, ...] with
+    q > bound.  Consecutive convergents differ by 1/(q q'), so a fraction
+    strictly between p/q and e has a denominator of at least q + q'."""
+    p0, p, q0, q = 1, 2, 0, 1
+    k = 0
+    while q <= bound:
+        a = 2 * (k // 3 + 1) if k % 3 == 1 else 1
+        p0, p, q0, q = p, a * p + p0, q, a * q + q0
+        k += 1
+    return p, q
 
 
-def _below_e(d: int, d2: int) -> bool:
-    """Whether d2 < e d, decided in integers against the enclosure of e."""
-    if d2 * _E_DEN <= d * _E_NUM:
-        return True
-    if d2 * _E_DEN * _E_TERMS >= d * (_E_NUM * _E_TERMS + 1):
-        return False
-    raise ResourceError(f"cannot separate {d2}/{d} from e with the enclosure")
+# (14013652689, 5155334720): exact for every d < _E_Q, and d _E_P fits int64
+# for every d <= DEFAULT_LIMIT_CAP, as `tables._delta_window` needs
+_E_P, _E_Q = _e_convergent(DEFAULT_LIMIT_CAP)
 
 
-def _window_ends(divs: Sequence[int], logs: Sequence[float]) -> list[int]:
-    """For each start index i of one n's ascending divisors and their logs
-    (`DivisorSpectrum.logs`), the largest j with d_j < e d_i.  This is the
-    per-n form of `tables._delta_window`, which runs over a range of n."""
-    tau = len(logs)
-    ends = []
-    j = 0
-    for i, li in enumerate(logs):
-        if j < i:
-            j = i
-        while j + 1 < tau:
-            gap = logs[j + 1] - li
-            if gap >= _BAND_LO and (gap > _BAND_HI or not _below_e(divs[i], divs[j + 1])):
-                break
-            j += 1
-        ends.append(j)
-    return ends
+def _window_ends(divs: Sequence[int]) -> list[int]:
+    """For each start index i of one n's ascending divisors, the largest j
+    with d_j <= floor(e d_i) = p d_i // q, p/q from `_e_convergent` past
+    n = divs[-1].  This is the per-n form of `tables._delta_window`, which
+    runs over a range of n."""
+    p, q = (_E_P, _E_Q) if divs[-1] < _E_Q else _e_convergent(divs[-1])
+    return [bisect_right(divs, p * d // q) - 1 for d in divs]
 
 
 def delta(spec: DivisorSpectrum) -> int:
     """Maximum number of divisors in any window (e^u, e^{u+1}]."""
-    ends = _window_ends(spec.divisors, spec.logs)
+    ends = _window_ends(spec.divisors)
     return max(map(operator.sub, ends, range(-1, len(ends) - 1)))  # ends[i] - i + 1
 
 
@@ -201,7 +191,7 @@ def delta_osc(spec: DivisorSpectrum, f: OscWeight) -> float:
     prefix = [0.0] * (tau + 1)
     for i, v in enumerate(w):
         prefix[i + 1] = prefix[i] + v
-    ends = _window_ends(spec.divisors, spec.logs)
+    ends = _window_ends(spec.divisors)
     best = 0.0
     for i in range(tau):
         base = prefix[i]

@@ -24,8 +24,9 @@ tau per window only for `experiments.nu_distribution`, which builds no
 x-sized table.  Per-n statistics read every (n, d) with d | n in a window
 of 2^16 integers as one sorted int64 key per pair (`_pair_keys`).
 `_pair_windows` is the one walk over such windows, and it gives where each
-n's keys start.  `_delta_window` reads Delta(n) from them for `s_avg`,
-`experiments.dtheta_exponent_stats` its per-n minima, and
+n's keys start.  `_delta_window` reads Delta(n) from them for `s_avg`
+(one search, in integers, with no logs), `experiments.dtheta_exponent_stats`
+its per-n minima, and
 `_divisor_spectra` one sorted divisor list per n for `fn --range`.
 
 Scans partition cleanly over segments with associative merges; results are
@@ -41,7 +42,7 @@ from typing import Iterator
 import numpy as np
 
 from .arith import DivisorSpectrum
-from .divgeom import _below_e
+from .divgeom import _E_P, _E_Q
 from .errors import DEFAULT_SCAN_CAP, DomainError, ResourceError
 from .sieve import prime_runs, primes_upto
 
@@ -231,34 +232,22 @@ def _pair_windows(lo: int, hi: int) -> Iterator[tuple[int, np.ndarray, np.ndarra
         del key
 
 
-# K = (n - a) * _KEY_STRIDE + log d orders a window's pairs by n and then d,
-# and log d < 20 below the scan cap keeps K + 1 short of the next n's keys.
-# K < 2^21 rounds to within 5e-10, so a pair beyond _KEY_BAND of the window
-# edge is decided by K; inside it, `divgeom._below_e` decides in integers.
-_KEY_STRIDE = 32
-_KEY_BAND = 1e-6
-
-
 def _delta_window(key: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Delta(n) for each n of one `_pair_windows` window, from its keys
-    (masked to the divisors in place) and starts: the window opened at pair
-    i ends before the first pair j with d_j >= e d_i.  One search on K at
-    1 - the band finds end[i]; only a pair whose K[end[i]] is still below
-    K[i] + 1 + the band walks on, while `_below_e` holds.  Delta is the
-    longest window."""
-    n = len(key)
-    off = key >> 32
-    d = np.bitwise_and(key, 0xFFFFFFFF, out=key)
-    K = np.empty(n + 1)
-    np.add(off * _KEY_STRIDE, np.log(d), out=K[:n])
-    K[n] = np.inf  # the gather K[end] reads it where end = n
-    end = np.searchsorted(K, K[:n] + (1 - _KEY_BAND))
-    top = K[:n] + (1 + _KEY_BAND)
-    for i in np.flatnonzero(K[end] < top).tolist():
-        di, ti = int(d[i]), top[i]
-        while K[end[i]] < ti and _below_e(di, int(d[end[i]])):
-            end[i] += 1
-    return np.maximum.reduceat(end - np.arange(n), start)
+    """Delta(n) for each n of one `_pair_windows` window, from its keys and
+    starts: the window opened at pair i, with divisor d, ends before the
+    first key above key[i] - d + floor(e d), where floor(e d) - d =
+    d (_E_P - _E_Q) // _E_Q in integers (`divgeom._e_convergent`).  Below
+    DEFAULT_LIMIT_CAP, d _E_P fits int64 and e d < 2^32, so one search
+    finds every end inside its n's keys.  Delta is the longest window."""
+    top = key & 0xFFFFFFFF
+    top *= _E_P - _E_Q
+    top //= _E_Q
+    top += key
+    top += 1
+    end = np.searchsorted(key, top)
+    del top
+    end -= np.arange(len(key))
+    return np.maximum.reduceat(end, start)
 
 
 def _divisor_spectra(lo: int, hi: int) -> Iterator[DivisorSpectrum]:

@@ -84,12 +84,6 @@ def test_roundtrip_and_divisor_oracle(sieve_1e5):
         assert list(divisors(f).divisors) == trial_divisors(n)
 
 
-def test_logs_match(sieve_1e4):
-    spec = divisors(factor(5040, sieve_1e4))
-    for d, lg in zip(spec.divisors, spec.logs):
-        assert abs(lg - math.log(d)) < 1e-12
-
-
 def test_mobius_sum_identity(sieve_1e4):
     for n in range(1, 10**4 + 1):
         total = sum(m for _, m in divisor_mobius(factor(n, sieve_1e4).factors))

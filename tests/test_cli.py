@@ -357,6 +357,9 @@ def test_unknown_flag_is_usage_error(capsys):
     assert code == 64
     code, _ = run(capsys, "exp", "--preset", "dtheta", "--theta", "1/0")
     assert code == 64
+    # no preset reads a seed, so exp takes none
+    code, _ = run(capsys, "exp", "--preset", "constants", "--seed", "3")
+    assert code == 64
 
 
 def test_domain_error_exit(capsys):

@@ -11,7 +11,6 @@ from divilab import (
     Factored,
     OscWeight,
     RatioWeight,
-    ResourceError,
     delta,
     delta_osc,
     divisors,
@@ -25,11 +24,14 @@ from divilab import (
 )
 from divilab import divgeom
 from divilab.arith import factor_int
+from divilab.errors import DEFAULT_LIMIT_CAP
 
 from oracles import (
+    _e_convergents,
     below_e,
     decimal_e_r,
     divisor_lists,
+    list_delta,
     naive_delta,
     naive_delta_osc,
     naive_e_r,
@@ -154,26 +156,94 @@ def test_oracle_equivalence_prefix(sieve_1e4):
                 naive_f_theta(n, lambda r: 1.0 if r > 0.5 else 0.0), abs=1e-9)
 
 
-def test_window_end_near_e_is_exact(monkeypatch):
+def test_window_end_near_e_is_exact():
     """d' = 410105312 < e d for d = 150869313 (d'/d - e = -2.2e-17), yet the
     float gap log d' - log d rounds to exactly 1.0: the window from d must
-    still end at d'."""
+    still end at d'.  n is past _E_Q, so the ends come from a convergent of
+    e found for n."""
     n = 61872306679090656  # 2^5 3^2 7 37 59 1097 1709 7499 < 2^63
     spec = divisors(Factored(n, ((2, 5), (3, 2), (7, 1), (37, 1), (59, 1),
                                  (1097, 1), (1709, 1), (7499, 1))))
     d, d2 = 150869313, 410105312
     assert math.log(d2) - math.log(d) == 1.0
     assert below_e(d, d2)
+    assert n >= divgeom._E_Q
     i, j = spec.divisors.index(d), spec.divisors.index(d2)
-    assert divgeom._window_ends(spec.divisors, spec.logs)[i] == j
+    assert divgeom._window_ends(spec.divisors)[i] == j
     assert delta(spec) == 60
-    # an enclosure of e too coarse to separate d'/d raises instead of guessing
-    den = math.factorial(10)
-    monkeypatch.setattr(divgeom, "_E_TERMS", 10)
-    monkeypatch.setattr(divgeom, "_E_DEN", den)
-    monkeypatch.setattr(divgeom, "_E_NUM", sum(den // math.factorial(k) for k in range(11)))
-    with pytest.raises(ResourceError):
-        delta(spec)
+
+
+def _convergent_denominators(bound):
+    """The denominators <= bound of the convergents p_k/q_k of e and of the
+    semiconvergents between them, (p_(k-1) + j p_k)/(q_(k-1) + j q_k) for
+    0 < j <= a_(k+1)."""
+    qs = set()
+    q0, q = 0, 1
+    k = 0
+    while q <= bound:
+        qs.add(q)
+        a = 2 * (k // 3 + 1) if k % 3 == 1 else 1
+        qs.update(q0 + i * q for i in range(1, a + 1))
+        q0, q = q, a * q + q0
+        k += 1
+    return sorted(x for x in qs if x <= bound)
+
+
+def test_e_convergent_is_first_convergent_past_bound():
+    ctx = Context(prec=80)
+    e = ctx.exp(1)
+    # the newest convergent after t steps of the oracle is the one with the
+    # larger denominator
+    convs = [max(_e_convergents(t), key=lambda c: c[1]) for t in range(2, 45)]
+    rng = random.Random(11)
+    bounds = [1, 2, 3, DEFAULT_LIMIT_CAP, 2**63]
+    bounds += [q + k for _, q in convs[:30] for k in (-1, 0, 1)]
+    bounds += [rng.randrange(1, 10**rng.randrange(2, 20)) for _ in range(200)]
+    for bound in bounds:
+        p, q = divgeom._e_convergent(bound)
+        assert (p, q) == next(c for c in convs if c[1] > bound), bound
+        # in lowest terms, and |e - p/q| < 1/q^2 as for every convergent
+        assert math.gcd(p, q) == 1
+        assert q * abs(ctx.subtract(ctx.multiply(e, q), p)) < 1
+
+
+def test_floor_e_d_from_the_convergent():
+    ctx = Context(prec=80)
+    e = ctx.exp(1)
+    P, Q = divgeom._E_P, divgeom._E_Q
+    assert (P, Q) == (14013652689, 5155334720) == divgeom._e_convergent(DEFAULT_LIMIT_CAP)
+    assert Q > DEFAULT_LIMIT_CAP and P * DEFAULT_LIMIT_CAP < 2**63
+    rng = random.Random(7)
+    ds = _convergent_denominators(DEFAULT_LIMIT_CAP)
+    # 438351041/161260336, the convergent before _E_P/_E_Q, lies above e:
+    # read with it, floor(e d) at d = 161260336 would be one too high
+    assert 161260336 in ds
+    ds += [rng.randrange(1, DEFAULT_LIMIT_CAP + 1) for _ in range(20000)] + [DEFAULT_LIMIT_CAP]
+    for d in ds:
+        assert P * d // Q == int(ctx.multiply(e, d).to_integral_value(rounding="ROUND_FLOOR")), d
+
+
+@pytest.mark.parametrize("n", [8544 * 23225, 9545 * 25946, 18089 * 49171,
+                               190435 * 517656, 61872306679090656,
+                               10622799089 * 28875761731])
+def test_window_ends_at_convergent_pairs(n):
+    # d' / d a convergent of e with d d' | n: 23225 < e 8544 and 517656 <
+    # e 190435, 25946 > e 9545 and 49171 > e 18089.  The first three n are
+    # below _E_Q and read floor(e d) from (_E_P, _E_Q); the others are past
+    # it and take a convergent found for n.  In the last, 28875761731 /
+    # 10622799089 is the mediant of _E_P / _E_Q and the next convergent, so
+    # it lies between _E_P / _E_Q and e: read with (_E_P, _E_Q), 28875761731
+    # would join the window from 10622799089
+    spec = divisors(factor_int(n))
+    divs = spec.divisors
+    ends, j = [], 0
+    for i, d in enumerate(divs):
+        j = max(j, i)
+        while j + 1 < len(divs) and below_e(d, divs[j + 1]):
+            j += 1
+        ends.append(j)
+    assert divgeom._window_ends(divs) == ends
+    assert delta(spec) == list_delta(list(divs))
 
 
 @pytest.mark.parametrize("r", [1, 3])

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from divilab import DomainError, ResourceError, psi1_count
-from divilab.errors import DEFAULT_SCAN_CAP
+from divilab.errors import DEFAULT_LIMIT_CAP, DEFAULT_SCAN_CAP
 from divilab.experiments import (
     dtheta_exponent_stats,
     golden_ratio_fraction,
@@ -268,7 +268,6 @@ def test_divisor_spectra_match_divisor_lists(lo, hi):
     assert [s.n for s in got] == list(range(lo, hi + 1))
     for spec, divs in zip(got, divisor_lists(lo, hi + 1)):
         assert spec.divisors == tuple(divs)
-        assert spec.logs == tuple(math.log(d) for d in divs)
 
 
 @pytest.mark.parametrize("window", [1, 7, 64])
@@ -314,23 +313,32 @@ def test_pair_window_reach(window, monkeypatch):
 
 
 @pytest.mark.parametrize("n, want", [(465 * 1264, 12), (2 * 465 * 1264, 14),
-                                     (27 * 536 * 1457, 14), (286 * 465 * 1264, 42)])
-def test_delta_window_band_pairs(n, want):
-    # 1264/465 and 1457/536 are convergents of e whose log gaps, 1 - 8.3e-7
-    # and 1 + 6.5e-7, lie inside the kernel's band, so the integers decide:
-    # 1264 < e 465 stays in the window opened at 465, 1457 > e 536 does not.
-    # At 2 * 465 * 1264 the first pair decides Delta (13 without it), at
-    # 27 * 536 * 1457 the second (15 with it).  286 * 465 * 1264 is the
-    # 65055th n of its window, where K rounds coarsest: the search at 1 - the
-    # band stops at 286 * 1264, whose K is inside the band, and `_below_e`
-    # admits it from 286 * 465 (Delta 41 without it).  The windows start at
-    # 1 mod 2^16, as s_avg's do.
+                                     (27 * 536 * 1457, 14), (286 * 465 * 1264, 42),
+                                     (8544 * 23225, 13), (9545 * 25946, 4)])
+def test_delta_window_convergent_pairs(n, want):
+    # 1264/465, 1457/536, 23225/8544 and 25946/9545 are convergents of e,
+    # the last two the largest whose products lie under DEFAULT_LIMIT_CAP:
+    # 1264 < e 465 and 23225 < e 8544 stay in the windows opened at 465 and
+    # 8544, 1457 > e 536 and 25946 > e 9545 do not.  At 2 * 465 * 1264 the
+    # first pair decides Delta (13 without it), at 27 * 536 * 1457 the
+    # second (15 with it).  286 * 465 * 1264 is the 65055th n of its window,
+    # where the keys are largest (Delta 41 without 286 * 1264).  The windows
+    # start at 1 mod 2^16, as s_avg's do.
     a = 1 + (n - 1) // _PAIR_WINDOW * _PAIR_WINDOW
     b = a + _PAIR_WINDOW
     (_, key, start), = _pair_windows(a, b)
     got = _delta_window(key, start)
     assert got.tolist() == [list_delta(divs) for divs in divisor_lists(a, b)]
     assert got[n - a] == want
+
+
+def test_delta_window_at_limit_cap():
+    # the last window below DEFAULT_LIMIT_CAP + 1, where d _E_P is largest
+    # and must still fit int64
+    b = DEFAULT_LIMIT_CAP + 1
+    (_, key, start), = _pair_windows(b - _PAIR_WINDOW, b)
+    assert _delta_window(key, start).tolist() == [
+        list_delta(divs) for divs in divisor_lists(b - _PAIR_WINDOW, b)]
 
 
 @pytest.mark.parametrize("x", [1, 2, 3, 10, 99, 100, 101, 2000])
